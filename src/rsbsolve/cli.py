@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
@@ -224,10 +223,8 @@ def _sweep_rows(model, params, k, thetas, spec, options):
               help="Grid axis as name=start:stop:steps (max two, row-major).")
 @click.option("--out", type=click.Path(dir_okay=False, writable=True),
               default=None, help="Write CSV here instead of standard output.")
-@click.option("--jobs", type=click.IntRange(min=1), default=1,
-              show_default=True, help="Concurrent point solves.")
 def sweep(model, beta, j0, j, alpha, k, thetas, nodes, damping, tol, max_iter,
-          axes, out, jobs):
+          axes, out):
     """Sweep a parameter grid and emit one CSV row per converged branch."""
     params = _build_params(model, beta, j0, j, alpha)
     if len(thetas) != k:
@@ -259,11 +256,7 @@ def sweep(model, beta, j0, j, alpha, k, thetas, nodes, damping, tol, max_iter,
             else HopfieldParams(**merged)
         return _sweep_rows(model, pt_params, k, thetas, spec, options)
 
-    if jobs == 1:
-        results = [solve_point(pt) for pt in points]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(solve_point, points))
+    results = [solve_point(pt) for pt in points]
 
     header = ["beta", "j0", "j"] if model == "sk" else ["beta", "alpha"]
     header += ["branch", "m"]

@@ -48,12 +48,6 @@ class BracketViolation(ValueError):
     """A scalar search was handed an empty or out-of-range bracket."""
 
 
-class MaxIterations(RuntimeError):
-    """Iteration cap reached.  The fixed-point driver reports this state
-    through ``converged=False`` rather than raising; the class exists for
-    callers that want to escalate."""
-
-
 # ---------------------------------------------------------------------------
 # parameter records
 
@@ -233,7 +227,15 @@ class QuadratureSpec:
 
 
 # ---------------------------------------------------------------------------
-# solve outcome
+# outcomes
+
+@dataclass(frozen=True)
+class Evaluation:
+    """Pressure value with its additive pieces, keyed by name."""
+
+    pressure: float
+    terms: dict
+
 
 @dataclass(frozen=True)
 class SolveReport:

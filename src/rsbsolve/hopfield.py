@@ -6,7 +6,8 @@ denominators; whenever one of them reaches zero the trial point is
 outside the domain of the closed form and a SusceptibilityDivergence is
 raised instead of returning a number.  The conjugate plateaus are slaved
 to the overlap plateaus through an exact closed form, so the solvers
-only ever iterate magnetization and overlaps.
+only ever iterate magnetization and overlaps.  The flat (``_rs``) forms
+are the depth-0 case of the hierarchical ones.
 """
 
 from __future__ import annotations
@@ -17,22 +18,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    Evaluation,
     HopfieldParams,
     RangeViolation,
     RsbAnsatz,
     SusceptibilityDivergence,
     validate_ansatz,
 )
-from .quadrature import nested_log_cosh_expect, nested_ratio_expect
-from .sk import _check_flat
-
-
-@dataclass(frozen=True)
-class HopEvaluation:
-    """Pressure value with its additive pieces."""
-
-    pressure: float
-    terms: dict
+from .quadrature import nested_log_cosh_expect, nested_moments
 
 
 @dataclass(frozen=True)
@@ -83,6 +76,13 @@ def hop_p_closed_form(params, ansatz):
     return tuple(ps)
 
 
+def _field_coeffs(params, ps):
+    dp = np.diff(np.concatenate([[0.0], np.asarray(ps, dtype=float)]))
+    if np.any(dp < 0.0):
+        raise RangeViolation("conjugate plateaus must be non-decreasing")
+    return np.sqrt(params.alpha * params.beta * dp)
+
+
 def _hop_terms(params, ansatz, ps, qd):
     alpha, beta = params.alpha, params.beta
     q = np.asarray(ansatz.qs, dtype=float)
@@ -116,83 +116,37 @@ def hop_pressure_krsb(params, ansatz, spec=None):
         field = nested_log_cosh_expect(beta * a.m, np.zeros(a.k + 1),
                                        a.thetas, spec)
         pressure = field - 0.5 * beta * a.m * a.m
-        return HopEvaluation(pressure=pressure,
-                            terms={"field": field, "load_terms": 0.0,
-                                   "bias_source": -0.5 * beta * a.m * a.m})
+        return Evaluation(pressure=pressure,
+                          terms={"field": field, "load_terms": 0.0,
+                                 "bias_source": -0.5 * beta * a.m * a.m})
     ps = a.ps if a.ps is not None else hop_p_closed_form(params, a)
     qd = hop_q_denominators(params, a).values
-    p = np.asarray(ps, dtype=float)
-    dp = np.diff(np.concatenate([[0.0], p]))
-    if np.any(dp < 0.0):
-        raise RangeViolation("conjugate plateaus must be non-decreasing")
-    coeffs = np.sqrt(alpha * beta * dp)
-    field = nested_log_cosh_expect(beta * a.m, coeffs, a.thetas, spec)
+    field = nested_log_cosh_expect(beta * a.m, _field_coeffs(params, ps),
+                                   a.thetas, spec)
     tower, logterm, qterm, pterm, mix = _hop_terms(params, a, ps, qd)
     bias = -0.5 * beta * a.m * a.m
     pressure = field + tower + logterm + qterm + pterm + mix + bias
-    return HopEvaluation(pressure=pressure,
-                        terms={"field": field, "response_tower": tower,
-                               "response_log": logterm, "overlap_source": qterm,
-                               "conjugate_source": pterm + mix,
-                               "bias_source": bias})
+    return Evaluation(pressure=pressure,
+                      terms={"field": field, "response_tower": tower,
+                             "response_log": logterm, "overlap_source": qterm,
+                             "conjugate_source": pterm + mix,
+                             "bias_source": bias})
 
 
 def hop_pressure_rs(params, m, q, p=None, spec=None):
     """Flat-ansatz pressure; ``p`` defaults to its closed form
     beta q / (1 - beta (1 - q))^2."""
-    if not isinstance(params, HopfieldParams):
-        raise TypeError("params must be HopfieldParams")
-    _check_flat(m, q)
-    alpha, beta = params.alpha, params.beta
-    if alpha == 0.0:
-        field = nested_log_cosh_expect(beta * m, [0.0], (), spec)
-        return HopEvaluation(pressure=field - 0.5 * beta * m * m,
-                            terms={"field": field, "load_terms": 0.0,
-                                   "bias_source": -0.5 * beta * m * m})
-    qr = 1.0 - beta * (1.0 - q)
-    if qr <= 0.0:
-        raise SusceptibilityDivergence("response denominator %r <= 0" % qr)
-    if p is None:
-        p = beta * q / qr ** 2
-    if p < 0.0:
-        raise RangeViolation("p must be >= 0, got %r" % p)
-    field = nested_log_cosh_expect(beta * m, [math.sqrt(alpha * beta * p)],
-                                   (), spec)
-    pressure = (field - 0.5 * alpha * math.log(qr)
-                + 0.5 * alpha * beta * q / qr
-                - 0.5 * beta * m * m
-                - 0.5 * alpha * beta * p * (1.0 - q))
-    return HopEvaluation(pressure=pressure,
-                        terms={"field": field,
-                               "response_log": -0.5 * alpha * math.log(qr),
-                               "overlap_source": 0.5 * alpha * beta * q / qr,
-                               "conjugate_source": -0.5 * alpha * beta * p * (1.0 - q),
-                               "bias_source": -0.5 * beta * m * m})
+    ps = None if p is None else (p,)
+    return hop_pressure_krsb(params, RsbAnsatz(k=0, m=m, qs=(q,), ps=ps), spec)
 
 
 def hop_sce_rs(params, m, q, spec=None):
     """One application of the flat self-consistency map: returns
     (m', q', p') with the conjugate plateau evaluated at the new
-    overlap."""
-    _check_flat(m, q)
-    alpha, beta = params.alpha, params.beta
-    if alpha == 0.0:
-        m_new = math.tanh(beta * m)
-        q_new = m_new * m_new
-        return m_new, q_new, 0.0
-    qr = 1.0 - beta * (1.0 - q)
-    if qr <= 0.0:
-        raise SusceptibilityDivergence("response denominator %r <= 0" % qr)
-    p = beta * q / qr ** 2
-    offset = beta * m
-    coeffs = [math.sqrt(alpha * beta * p)]
-    m_new = nested_ratio_expect(offset, coeffs, (), inner="tanh", spec=spec)
-    q_new = nested_ratio_expect(offset, coeffs, (), inner="tanh2", spec=spec)
-    qr_new = 1.0 - beta * (1.0 - q_new)
-    if qr_new <= 0.0:
-        raise SusceptibilityDivergence("response denominator %r <= 0" % qr_new)
-    p_new = beta * q_new / qr_new ** 2
-    return m_new, q_new, p_new
+    overlap (zero at zero load, where there is no pattern layer)."""
+    nxt = hop_sce_krsb(params, RsbAnsatz(k=0, m=m, qs=(q,)), spec)
+    p = hop_p_closed_form(params, nxt)[0] if params.alpha > 0.0 else 0.0
+    return nxt.m, nxt.qs[0], p
 
 
 def hop_sce_krsb(params, ansatz, spec=None):
@@ -212,22 +166,7 @@ def hop_sce_krsb(params, ansatz, spec=None):
         m_new = math.tanh(beta * a.m)
         q_new = m_new * m_new
         return replace(a, m=m_new, qs=(q_new,) * (a.k + 1), ps=None)
-    ps_in = a.ps if a.ps is not None else hop_p_closed_form(params, a)
-    p = np.asarray(ps_in, dtype=float)
-    dp = np.diff(np.concatenate([[0.0], p]))
-    if np.any(dp < 0.0):
-        raise RangeViolation("conjugate plateaus must be non-decreasing")
-    coeffs = np.sqrt(alpha * beta * dp)
-    offset = beta * a.m
-    th = a.thetas
-    m_new = nested_ratio_expect(offset, coeffs, th, inner="tanh", spec=spec)
-    qs_new = [
-        nested_ratio_expect(offset, coeffs, th, inner="tanh",
-                            square_at_level=lvl, spec=spec)
-        for lvl in range(1, a.k + 1)
-    ]
-    qs_new.append(nested_ratio_expect(offset, coeffs, th, inner="tanh2",
-                                      spec=spec))
-    qs_new = np.maximum.accumulate(np.clip(qs_new, 0.0, 1.0))
-    m_new = min(1.0, max(-1.0, m_new))
-    return replace(a, m=m_new, qs=tuple(qs_new), ps=None)
+    ps = a.ps if a.ps is not None else hop_p_closed_form(params, a)
+    m, qs = nested_moments(beta * a.m, _field_coeffs(params, ps), a.thetas,
+                           spec)
+    return replace(a, m=m, qs=qs, ps=None)

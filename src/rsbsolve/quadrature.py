@@ -1,5 +1,10 @@
 """Nested Gaussian averages on tensor grids.
 
+Two kernels walk the same grid and the same per-level reweighting:
+``nested_log_cosh_expect`` gives the field term of the pressure, and
+``nested_moments`` gives every output of the self-consistency map (the
+magnetization and all overlap plateaus) from one pass.
+
 All expectations are over independent standard normals, one per
 hierarchy level.  Deterministic Gauss-Hermite nodes are used per level
 (physicists' nodes rescaled to unit variance); when the tensor product
@@ -150,6 +155,24 @@ def _field_tensor(offset, coeffs, nodes):
     return g
 
 
+def _reweight(logn, r, w):
+    """Integrate out the innermost level: the normalized weights
+    w * exp(r * logn) along it, their sum, and the reduced log kernel."""
+    a = r * logn
+    mx = a.max(axis=-1, keepdims=True)
+    we = w * np.exp(a - mx)
+    z = we.sum(axis=-1)
+    return we, z, np.squeeze(mx, axis=-1) + np.log(z)
+
+
+def _nested_grid(offset, coeffs, thetas, spec):
+    spec = _DEFAULT_SPEC if spec is None else spec
+    thetas = _check_thetas(thetas)
+    offset, coeffs = _check_field(offset, coeffs, len(thetas) + 1)
+    nodes, weights = _level_grids(len(thetas) + 1, spec)
+    return list(thetas) + [1.0], weights, _field_tensor(offset, coeffs, nodes)
+
+
 def nested_log_cosh_expect(offset, coeffs, thetas=(), spec=None):
     """Hierarchical free-energy term of a field with k+1 Gaussian layers.
 
@@ -159,79 +182,39 @@ def nested_log_cosh_expect(offset, coeffs, thetas=(), spec=None):
     the ratio of adjacent weight exponents, and the outermost level
     averages (1/theta_1) * log of the result.
     """
-    spec = _DEFAULT_SPEC if spec is None else spec
-    thetas = _check_thetas(thetas)
-    k = len(thetas)
-    offset, coeffs = _check_field(offset, coeffs, k + 1)
-    th = list(thetas) + [1.0]
-
-    nodes, weights = _level_grids(k + 1, spec)
-    g = _field_tensor(offset, coeffs, nodes)
+    th, weights, g = _nested_grid(offset, coeffs, thetas, spec)
     logn = _log2cosh(g)
-    for b in range(k + 1, 1, -1):        # integrate out level b
-        r = th[b - 2] / th[b - 1]
-        a = r * logn
-        mx = a.max(axis=-1, keepdims=True)
-        z = np.sum(weights[b - 1] * np.exp(a - mx), axis=-1)
-        logn = np.squeeze(mx, axis=-1) + np.log(z)
+    for b in range(len(th), 1, -1):        # integrate out level b
+        _, _, logn = _reweight(logn, th[b - 2] / th[b - 1], weights[b - 1])
     value = float(np.dot(weights[0], np.atleast_1d(logn)) / th[0])
     if not math.isfinite(value):
         raise NonFiniteIntegrand("nested average is not finite")
     return value
 
 
-_INNER_KERNELS = ("tanh", "tanh2", "none")
+def nested_moments(offset, coeffs, thetas=(), spec=None):
+    """Magnetization and overlap plateaus of the self-consistency map,
+    from one pass over the grid.
 
-
-def nested_ratio_expect(offset, coeffs, thetas=(), inner="tanh",
-                        square_at_level=None, spec=None):
-    """Telescopic weighted average of an inner kernel of the field.
-
-    The innermost kernel is tanh (``"tanh"``), tanh squared (``"tanh2"``)
-    or the constant one (``"none"``, which makes the result 1 and checks
-    weight normalization).  Each reduction reweights by the normalized
-    power of the local partition kernel.  ``square_at_level = a`` squares
-    the partial average once ``a`` levels of expectation remain outside:
-    values 1..k give the interior-plateau averages, 0 squares the final
-    scalar, and None disables squaring (used for the magnetization and
-    the innermost plateau).
+    Returns ``(m, qs)`` with the k+1 plateaus outermost first.  The
+    running tanh average is reduced level by level, each reduction
+    reweighting by the normalized power of the local partition kernel;
+    plateau a is the square of that average once the reduction reaches
+    level a, and the innermost plateau averages tanh^2 from the start.
+    ``m`` is clamped to [-1, 1] and the plateaus clipped to [0, 1] and
+    made non-decreasing: the map preserves both exactly, so this only
+    absorbs rounding at the last digit.
     """
-    spec = _DEFAULT_SPEC if spec is None else spec
-    thetas = _check_thetas(thetas)
-    k = len(thetas)
-    offset, coeffs = _check_field(offset, coeffs, k + 1)
-    if inner not in _INNER_KERNELS:
-        raise RangeViolation("inner must be one of %r" % (_INNER_KERNELS,))
-    if square_at_level is not None:
-        square_at_level = int(square_at_level)
-        if not (0 <= square_at_level <= k):
-            raise RangeViolation(
-                "square_at_level must be None or in [0, %d], got %d"
-                % (k, square_at_level))
-    th = list(thetas) + [1.0]
-
-    nodes, weights = _level_grids(k + 1, spec)
-    g = _field_tensor(offset, coeffs, nodes)
+    th, weights, g = _nested_grid(offset, coeffs, thetas, spec)
     logn = _log2cosh(g)
-    if inner == "tanh":
-        val = np.tanh(g)
-    elif inner == "tanh2":
-        val = np.tanh(g) ** 2
-    else:
-        val = np.ones_like(g)
-    for b in range(k + 1, 1, -1):
-        r = th[b - 2] / th[b - 1]
-        a = r * logn
-        mx = a.max(axis=-1, keepdims=True)
-        we = weights[b - 1] * np.exp(a - mx)
-        z = we.sum(axis=-1)
-        val = np.sum(we * val, axis=-1) / z
-        logn = np.squeeze(mx, axis=-1) + np.log(z)
-        if square_at_level == b - 1:   # square once reduced to level b-1
-            val = val * val
-    out = float(np.dot(weights[0], np.atleast_1d(val)))
-    if square_at_level == 0:
-        out = out * out
-    if not math.isfinite(out):
-        raise NonFiniteIntegrand("nested ratio average is not finite")
-    return out
+    t = np.tanh(g)
+    vals = np.stack([t, t ** 2])   # running tanh average, then plateaus
+    for b in range(len(th), 1, -1):
+        we, z, logn = _reweight(logn, th[b - 2] / th[b - 1], weights[b - 1])
+        vals = np.sum(we * vals, axis=-1) / z
+        vals = np.concatenate([vals, vals[:1] * vals[:1]])
+    out = [float(np.dot(weights[0], v)) for v in vals]
+    if not all(math.isfinite(v) for v in out):
+        raise NonFiniteIntegrand("nested moment is not finite")
+    qs = np.maximum.accumulate(np.clip(out[:0:-1], 0.0, 1.0))
+    return min(1.0, max(-1.0, out[0])), tuple(qs)

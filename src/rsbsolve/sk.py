@@ -3,35 +3,19 @@ random-interaction model with a ferromagnetic bias.
 
 The hierarchical trial pressure is a nested Gaussian free-energy term
 plus two algebraic sources; its stationary points are reproduced by the
-telescopic tanh averages below, which is checked numerically by the test
-suite rather than assumed.
+telescopic tanh averages of ``nested_moments``, which is checked
+numerically by the test suite rather than assumed.  The flat (``_rs``)
+forms are the depth-0 case of the hierarchical ones.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .core import RangeViolation, RsbAnsatz, SkParams, validate_ansatz
-from .quadrature import nested_log_cosh_expect, nested_ratio_expect
-
-
-def _check_flat(m, q):
-    if not (-1.0 <= m <= 1.0):
-        raise RangeViolation("m must lie in [-1, 1], got %r" % m)
-    if not (0.0 <= q <= 1.0):
-        raise RangeViolation("q must lie in [0, 1], got %r" % q)
-
-
-@dataclass(frozen=True)
-class SkEvaluation:
-    """Pressure value with its additive pieces (field average, overlap
-    source, bias source)."""
-
-    pressure: float
-    terms: dict
+from .core import Evaluation, RsbAnsatz, SkParams, validate_ansatz
+from .quadrature import nested_log_cosh_expect, nested_moments
 
 
 def _field(params, ansatz):
@@ -49,45 +33,16 @@ def _overlap_source(params, ansatz):
     return 0.25 * (params.beta * params.j) ** 2 * bracket
 
 
-def _crude_floor(params):
-    return (math.log(2.0) - params.beta * params.j0 / 2.0
-            - (params.beta * params.j) ** 2 / 2.0)
-
-
-def _check_floor(params, pressure):
-    # coarse sanity bound, meaningful only in a moderate parameter box
-    if params.beta <= 5.0 and params.j <= 2.0 and params.j0 <= 2.0:
-        assert pressure >= _crude_floor(params) - 1e-9, (
-            "pressure %r under the crude floor %r" % (pressure, _crude_floor(params)))
-
-
 def sk_pressure_rs(params, m, q, spec=None):
     """Flat-ansatz pressure at magnetization ``m`` and overlap ``q``."""
-    if not isinstance(params, SkParams):
-        raise TypeError("params must be SkParams")
-    _check_flat(m, q)
-    beta, j0, j = params.beta, params.j0, params.j
-    field = nested_log_cosh_expect(beta * j0 * m, [beta * j * math.sqrt(q)],
-                                   (), spec)
-    overlap = 0.25 * (beta * j) ** 2 * (1.0 - q) ** 2
-    bias = -0.5 * beta * j0 * m * m
-    pressure = field + overlap + bias
-    _check_floor(params, pressure)
-    return SkEvaluation(pressure=pressure,
-                        terms={"field": field, "overlap_source": overlap,
-                               "bias_source": bias})
+    return sk_pressure_krsb(params, RsbAnsatz(k=0, m=m, qs=(q,)), spec)
 
 
 def sk_sce_rs(params, m, q, spec=None):
     """One application of the flat self-consistency map: returns
     (m', q')."""
-    _check_flat(m, q)
-    beta, j0, j = params.beta, params.j0, params.j
-    offset = beta * j0 * m
-    coeffs = [beta * j * math.sqrt(q)]
-    m_new = nested_ratio_expect(offset, coeffs, (), inner="tanh", spec=spec)
-    q_new = nested_ratio_expect(offset, coeffs, (), inner="tanh2", spec=spec)
-    return m_new, q_new
+    nxt = sk_sce_krsb(params, RsbAnsatz(k=0, m=m, qs=(q,)), spec)
+    return nxt.m, nxt.qs[0]
 
 
 def sk_pressure_krsb(params, ansatz, spec=None):
@@ -103,34 +58,16 @@ def sk_pressure_krsb(params, ansatz, spec=None):
     field = nested_log_cosh_expect(offset, coeffs, a.thetas, spec)
     overlap = _overlap_source(params, a)
     bias = -0.5 * params.beta * params.j0 * a.m * a.m
-    pressure = field + overlap + bias
-    _check_floor(params, pressure)
-    return SkEvaluation(pressure=pressure,
-                        terms={"field": field, "overlap_source": overlap,
-                               "bias_source": bias})
+    return Evaluation(pressure=field + overlap + bias,
+                      terms={"field": field, "overlap_source": overlap,
+                             "bias_source": bias})
 
 
 def sk_sce_krsb(params, ansatz, spec=None):
     """One application of the depth-k self-consistency map.
 
-    Interior plateaus square the partial tanh average at their own level;
-    the innermost plateau is the fully weighted tanh^2 average and the
-    magnetization the fully weighted tanh average.  The exponents are
-    passed through untouched.
+    The exponents are passed through untouched.
     """
     a = validate_ansatz(ansatz)
-    offset, coeffs = _field(params, a)
-    th = a.thetas
-    m_new = nested_ratio_expect(offset, coeffs, th, inner="tanh", spec=spec)
-    qs_new = [
-        nested_ratio_expect(offset, coeffs, th, inner="tanh",
-                            square_at_level=lvl, spec=spec)
-        for lvl in range(1, a.k + 1)
-    ]
-    qs_new.append(nested_ratio_expect(offset, coeffs, th, inner="tanh2",
-                                      spec=spec))
-    # the map preserves ordering exactly; the running max only absorbs
-    # rounding at the last digit
-    qs_new = np.maximum.accumulate(np.clip(qs_new, 0.0, 1.0))
-    m_new = min(1.0, max(-1.0, m_new))
-    return replace(a, m=m_new, qs=tuple(qs_new))
+    m, qs = nested_moments(*_field(params, a), a.thetas, spec)
+    return replace(a, m=m, qs=qs)

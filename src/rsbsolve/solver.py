@@ -33,7 +33,6 @@ class SolverOptions:
     damping: float = 0.5
     tol: float = 1e-10
     max_iter: int = 20000
-    project: bool = True
     multistart: bool = True
 
     def __post_init__(self):
@@ -76,18 +75,17 @@ def _flatten(ansatz):
     return np.concatenate(parts)
 
 
-def _unflatten(vec, template, project):
+def _unflatten(vec, template):
     k = template.k
     m = float(vec[0])
     qs = np.asarray(vec[1:k + 2], dtype=float)
     ps = None
     if template.ps is not None:
         ps = np.asarray(vec[k + 2:2 * k + 3], dtype=float)
-    if project:
-        m = min(1.0, max(-1.0, m))
-        qs = isotonic_nondecreasing(np.clip(qs, 0.0, 1.0))
-        if ps is not None:
-            ps = isotonic_nondecreasing(np.maximum(ps, 0.0))
+    m = min(1.0, max(-1.0, m))
+    qs = isotonic_nondecreasing(np.clip(qs, 0.0, 1.0))
+    if ps is not None:
+        ps = isotonic_nondecreasing(np.maximum(ps, 0.0))
     return replace(template, m=m, qs=tuple(qs),
                    ps=None if ps is None else tuple(ps))
 
@@ -148,7 +146,7 @@ def damped_fixed_point(f, x0, options=None):
                 since_best = 0
         x = (1.0 - gamma) * x + gamma * fx
         if ansatz_mode:
-            current = _unflatten(x, x0, opts.project)
+            current = _unflatten(x, x0)
             x = _flatten(current)
         else:
             current = float(x[0]) if scalar_mode else x

@@ -458,7 +458,7 @@ def test_criterion_9_byte_determinism():
                    "--samples", "25", "--seed", "7"]
     sweep_args = ["sweep", "--model", "hopfield", "--beta", "1",
                   "--alpha", "0.1", "--sweep", "beta=0.8:1.4:4",
-                  "--nodes", "32", "--jobs", "2"]
+                  "--nodes", "32"]
     first = [runner.invoke(main, a, catch_exceptions=False).stdout_bytes
              for a in (verify_args, sweep_args)]
     second = [runner.invoke(main, a, catch_exceptions=False).stdout_bytes

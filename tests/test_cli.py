@@ -132,15 +132,6 @@ def test_sweep_single_point_matches_solve(runner):
     assert float(row[6]) == solve[0]["pressure"]
 
 
-def test_sweep_byte_identical_across_jobs(runner):
-    args = ["sweep", "--model", "hopfield", "--beta", "1", "--alpha", "0.1",
-            "--sweep", "beta=0.8:1.4:4", "--nodes", "24"]
-    one = invoke(runner, args + ["--jobs", "1"]).stdout
-    two = invoke(runner, args + ["--jobs", "2"]).stdout
-    rerun = invoke(runner, args + ["--jobs", "1"]).stdout
-    assert one == two == rerun
-
-
 def test_nodes_env_fallback(runner):
     args = ["solve", "--model", "sk", "--beta", "1.4", "--j0", "0.2"]
     via_env = invoke(runner, args, env={"RSB_NODES": "24"}).stdout

@@ -9,13 +9,19 @@ from hypothesis import strategies as st
 
 from rsbsolve import (
     BudgetExceeded,
+    HopfieldParams,
     NonFiniteIntegrand,
     QuadratureSpec,
     RangeViolation,
+    RsbAnsatz,
+    SkParams,
     gauss_expect,
+    hop_sce_krsb,
     nested_log_cosh_expect,
-    nested_ratio_expect,
+    nested_moments,
+    sk_sce_krsb,
 )
+from rsbsolve import quadrature
 
 GRID = np.linspace(-8.0, 8.0, 4001)
 GRID_W = np.exp(-0.5 * GRID * GRID) / math.sqrt(2.0 * math.pi)
@@ -31,17 +37,13 @@ def dense_log_cosh_1rsb(offset, c1, c2, theta):
 def dense_ratio_1rsb(offset, c1, c2, theta, inner, square_at_level):
     g = offset + c1 * GRID[:, None] + c2 * GRID[None, :]
     w = np.cosh(g) ** theta
-    kern = {"tanh": np.tanh(g), "tanh2": np.tanh(g) ** 2,
-            "none": np.ones_like(g)}[inner]
+    kern = {"tanh": np.tanh(g), "tanh2": np.tanh(g) ** 2}[inner]
     den = (GRID_W[None, :] * w).sum(axis=1)
     num = (GRID_W[None, :] * w * kern).sum(axis=1)
     partial = num / den
     if square_at_level == 1:
         partial = partial ** 2
-    out = float((GRID_W * partial).sum())
-    if square_at_level == 0:
-        out = out ** 2
-    return out
+    return float((GRID_W * partial).sum())
 
 
 def test_unit_expectation():
@@ -91,14 +93,15 @@ def test_log_cosh_generic_against_dense_grid():
 
 
 def test_ratio_trivials():
-    assert nested_ratio_expect(0.0, [0.0]) == pytest.approx(0.0, abs=1e-14)
-    assert nested_ratio_expect(0.7, [0.0]) == pytest.approx(
+    assert nested_moments(0.0, [0.0])[0] == pytest.approx(0.0, abs=1e-14)
+    assert nested_moments(0.7, [0.0])[0] == pytest.approx(
         math.tanh(0.7), abs=1e-14)
-    assert nested_ratio_expect(0.4, [0.6], inner="none") == pytest.approx(
-        1.0, abs=1e-13)
-    assert nested_ratio_expect(
-        0.4, [0.6, 0.3], thetas=[0.5], inner="none") == pytest.approx(
-        1.0, abs=1e-13)
+
+
+# (inner kernel, squaring level) of the dense reference -> moment returned
+_MOMENT = {("tanh", None): lambda m, qs: m,
+           ("tanh", 1): lambda m, qs: qs[0],
+           ("tanh2", None): lambda m, qs: qs[1]}
 
 
 @pytest.mark.parametrize("inner,square", [
@@ -107,16 +110,60 @@ def test_ratio_trivials():
     ("tanh2", None),
 ])
 def test_ratio_generic_against_dense_grid(inner, square):
-    lhs = nested_ratio_expect(0.25, [0.7, 0.45], thetas=[0.4], inner=inner,
-                              square_at_level=square)
+    lhs = _MOMENT[inner, square](*nested_moments(0.25, [0.7, 0.45],
+                                                 thetas=[0.4]))
     rhs = dense_ratio_1rsb(0.25, 0.7, 0.45, 0.4, inner, square)
     assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
-def test_ratio_square_at_outermost():
-    lhs = nested_ratio_expect(0.3, [0.8], inner="tanh", square_at_level=0)
-    rhs = gauss_expect(lambda h: np.tanh(0.3 + 0.8 * h)) ** 2
-    assert lhs == pytest.approx(rhs, abs=1e-12)
+def tensor_moments_2rsb(offset, coeffs, thetas, nodes):
+    # direct transcription: cosh-power weights on the full 3-level tensor,
+    # no log domain and no running reduction
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    x, w = x * math.sqrt(2.0), w / math.sqrt(math.pi)
+    t1, t2 = thetas
+    g = (offset + coeffs[0] * x[:, None, None] + coeffs[1] * x[None, :, None]
+         + coeffs[2] * x[None, None, :])
+    c3 = np.cosh(g) ** t2                      # level-3 weight
+    z3 = c3 @ w
+    c2 = z3 ** (t1 / t2)                       # level-2 weight
+    z2 = c2 @ w
+    t = np.tanh(g)
+    avg3 = (c3 * t) @ w / z3                   # tanh averaged over level 3
+    avg2 = (c2 * avg3) @ w / z2                # ... and over level 2
+    m = float(w @ avg2)
+    q1 = float(w @ avg2 ** 2)
+    q2 = float(w @ ((c2 * avg3 ** 2) @ w / z2))
+    q3 = float(w @ ((c2 * ((c3 * t * t) @ w / z3)) @ w / z2))
+    return m, (q1, q2, q3)
+
+
+def test_moments_two_levels_against_tensor_transcription():
+    offset, coeffs, thetas = 0.35, [0.8, 0.5, 0.4], (0.3, 0.65)
+    m, qs = nested_moments(offset, coeffs, thetas,
+                           spec=QuadratureSpec(nodes_per_level=24))
+    want_m, want_qs = tensor_moments_2rsb(offset, coeffs, thetas, 24)
+    assert m == pytest.approx(want_m, abs=1e-12)
+    assert qs == pytest.approx(want_qs, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_one_grid_pass_per_map_application(k, monkeypatch):
+    calls = []
+    build = quadrature._field_tensor
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(quadrature, "_field_tensor", counted)
+    spec = QuadratureSpec(nodes_per_level=16)
+    thetas = tuple(np.linspace(0.3, 0.7, k))
+    a = RsbAnsatz(k=k, m=0.4, qs=np.linspace(0.5, 0.8, k + 1), thetas=thetas)
+    sk_sce_krsb(SkParams(beta=1.3, j0=0.4), a, spec)
+    assert len(calls) == 1
+    hop_sce_krsb(HopfieldParams(beta=1.1, alpha=0.1), a, spec)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -198,7 +245,7 @@ def test_log_cosh_lower_bound(offset, coeff):
        st.floats(min_value=0.0, max_value=1.2),
        st.floats(min_value=0.05, max_value=1.0))
 def test_ratio_bounded_by_one(offset, coeff, theta):
-    val = nested_ratio_expect(offset, [coeff, 0.4], thetas=[theta],
-                              inner="tanh2",
-                              spec=QuadratureSpec(nodes_per_level=24))
+    _, qs = nested_moments(offset, [coeff, 0.4], thetas=[theta],
+                           spec=QuadratureSpec(nodes_per_level=24))
+    val = qs[-1]
     assert -1e-12 <= val <= 1.0 + 1e-12

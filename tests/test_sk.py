@@ -114,15 +114,25 @@ def test_map_image_is_admissible():
 
 
 @given(st.floats(min_value=-1.0, max_value=1.0),
-       st.floats(min_value=0.0, max_value=1.0))
-def test_flat_pressure_lower_bound(m, q):
+       st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=0.05, max_value=0.95))
+def test_flat_pressure_lower_bound(m, q, shrink, theta):
     # the field term is at least log 2 and the overlap source is
     # non-negative, so only the bias source can pull the value down
     params = SkParams(beta=1.1, j0=0.6, j=1.0)
-    ev = sk_pressure_rs(params, m, q,
-                        spec=QuadratureSpec(nodes_per_level=24))
+    spec = QuadratureSpec(nodes_per_level=24)
+    ev = sk_pressure_rs(params, m, q, spec=spec)
     floor = math.log(2.0) - 0.5 * params.beta * params.j0
     assert ev.pressure >= floor - 1e-10
+    # in depth the overlap bracket is only >= 1 - 2 q_K >= -1
+    floor_k = floor - 0.25 * (params.beta * params.j) ** 2
+    for k in (1, 2):
+        qs = [q * shrink ** (k - i) for i in range(k + 1)]
+        thetas = [theta * (i + 1) / k for i in range(k)]
+        ev = sk_pressure_krsb(params, RsbAnsatz(k=k, m=m, qs=qs, thetas=thetas),
+                              spec=spec)
+        assert ev.pressure >= floor_k - 1e-10
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))
