@@ -25,7 +25,7 @@ from .core import (
     SusceptibilityDivergence,
     validate_ansatz,
 )
-from .quadrature import nested_log_cosh_expect, nested_moments
+from .quadrature import level_plan, nested_log_cosh_expect, plan_moments
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,31 @@ class QDenominators:
     """Linear-response denominators, one per level, outermost first."""
 
     values: tuple
+
+
+def _denominators(beta, q, th):
+    """Response cascade of overlaps ``q`` and exponents ``th`` (plain
+    floats); raises on the first non-positive value."""
+    k = len(th)
+    vals = [0.0] * (k + 1)
+    vals[k] = 1.0 - beta * (1.0 - q[k])
+    if vals[k] <= 0.0:
+        raise SusceptibilityDivergence(
+            "response denominator %r <= 0 at the innermost level" % vals[k])
+    for i in range(k - 1, -1, -1):
+        vals[i] = vals[i + 1] - beta * th[i] * (q[i + 1] - q[i])
+        if vals[i] <= 0.0:
+            raise SusceptibilityDivergence(
+                "response denominator %r <= 0 at level %d" % (vals[i], i + 1))
+    return vals
+
+
+def _conjugates(beta, q, qd):
+    """Closed-form conjugate plateaus from overlaps and denominators."""
+    ps = [beta * q[0] / qd[0] ** 2]
+    for i in range(1, len(q)):
+        ps.append(ps[-1] + beta * (q[i] - q[i - 1]) / (qd[i] * qd[i - 1]))
+    return ps
 
 
 def hop_q_denominators(params, ansatz):
@@ -44,19 +69,7 @@ def hop_q_denominators(params, ansatz):
     that case.
     """
     a = validate_ansatz(ansatz)
-    beta = params.beta
-    q = a.qs
-    th = a.thetas
-    vals = [0.0] * (a.k + 1)
-    vals[a.k] = 1.0 - beta * (1.0 - q[a.k])
-    if vals[a.k] <= 0.0:
-        raise SusceptibilityDivergence(
-            "response denominator %r <= 0 at the innermost level" % vals[a.k])
-    for i in range(a.k - 1, -1, -1):
-        vals[i] = vals[i + 1] - beta * th[i] * (q[i + 1] - q[i])
-        if vals[i] <= 0.0:
-            raise SusceptibilityDivergence(
-                "response denominator %r <= 0 at level %d" % (vals[i], i + 1))
+    vals = _denominators(params.beta, a.qs, a.thetas)
     return QDenominators(values=tuple(vals))
 
 
@@ -67,13 +80,8 @@ def hop_p_closed_form(params, ansatz):
     beta (q_a - q_{a-1}) / (Q_a Q_{a-1}).
     """
     a = validate_ansatz(ansatz)
-    qd = hop_q_denominators(params, a).values
-    beta = params.beta
-    q = a.qs
-    ps = [beta * q[0] / qd[0] ** 2]
-    for i in range(1, a.k + 1):
-        ps.append(ps[-1] + beta * (q[i] - q[i - 1]) / (qd[i] * qd[i - 1]))
-    return tuple(ps)
+    qd = _denominators(params.beta, a.qs, a.thetas)
+    return tuple(_conjugates(params.beta, a.qs, qd))
 
 
 def _field_coeffs(params, ps):
@@ -119,8 +127,8 @@ def hop_pressure_krsb(params, ansatz, spec=None):
         return Evaluation(pressure=pressure,
                           terms={"field": field, "load_terms": 0.0,
                                  "bias_source": -0.5 * beta * a.m * a.m})
-    ps = a.ps if a.ps is not None else hop_p_closed_form(params, a)
-    qd = hop_q_denominators(params, a).values
+    qd = _denominators(beta, a.qs, a.thetas)
+    ps = a.ps if a.ps is not None else _conjugates(beta, a.qs, qd)
     field = nested_log_cosh_expect(beta * a.m, _field_coeffs(params, ps),
                                    a.thetas, spec)
     tower, logterm, qterm, pterm, mix = _hop_terms(params, a, ps, qd)
@@ -149,6 +157,24 @@ def hop_sce_rs(params, m, q, spec=None):
     return nxt.m, nxt.qs[0], p
 
 
+def _sce_step(params, plan, x, ps=None):
+    """The self-consistency map on the flat vector [m, q_1..q_{k+1}] of
+    an admissible point, with the exponents fixed by ``plan`` (unused at
+    zero load).  Field coefficients come from ``ps`` when given, else
+    from the closed-form conjugates at the incoming overlaps."""
+    alpha, beta = params.alpha, params.beta
+    if alpha == 0.0:
+        # no pattern layer: every plateau is the squared magnetization
+        m = math.tanh(beta * x[0])
+        out = np.full(len(x), m * m)
+        out[0] = m
+        return out
+    if ps is None:
+        q = x[1:].tolist()
+        ps = _conjugates(beta, q, _denominators(beta, q, plan.thetas))
+    return plan_moments(plan, beta * x[0], _field_coeffs(params, ps))
+
+
 def hop_sce_krsb(params, ansatz, spec=None):
     """One application of the depth-k self-consistency map with the
     conjugate plateaus eliminated.
@@ -161,12 +187,7 @@ def hop_sce_krsb(params, ansatz, spec=None):
     on raw map output.
     """
     a = validate_ansatz(ansatz)
-    alpha, beta = params.alpha, params.beta
-    if alpha == 0.0:
-        m_new = math.tanh(beta * a.m)
-        q_new = m_new * m_new
-        return replace(a, m=m_new, qs=(q_new,) * (a.k + 1), ps=None)
-    ps = a.ps if a.ps is not None else hop_p_closed_form(params, a)
-    m, qs = nested_moments(beta * a.m, _field_coeffs(params, ps), a.thetas,
-                           spec)
-    return replace(a, m=m, qs=qs, ps=None)
+    # zero load needs no plan, so its exponents skip the quadrature floor
+    plan = level_plan(a.thetas, spec) if params.alpha != 0.0 else None
+    x = _sce_step(params, plan, np.array((a.m,) + a.qs), a.ps)
+    return replace(a, m=x[0], qs=x[1:], ps=None)

@@ -10,13 +10,23 @@ hierarchy level.  Deterministic Gauss-Hermite nodes are used per level
 (physicists' nodes rescaled to unit variance); when the tensor product
 would blow the configured budget, outer levels degrade one by one to a
 fixed antithetic sampling rule so results stay reproducible without any
-caller-supplied seed.  Everything runs in the log domain, with a max
-subtraction per reduction, so large arguments cannot overflow.
+caller-supplied seed.
+
+A ``LevelPlan`` fixes the exponents, nodes, weights and exponent ratios
+of one depth; ``plan_moments`` / ``plan_log_cosh`` evaluate on it, so a
+solver builds the plan once and every map application only builds the
+field.  The field is a sum of outer products, the transcendentals run in
+place and each level is integrated out with one matrix-vector product.
+Everything runs in the log domain with a max subtraction per reduction,
+so large arguments cannot overflow; on Gauss-Hermite levels that max is
+read off the two end nodes, since every level's log kernel is convex in
+its node.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -101,11 +111,11 @@ def _check_thetas(thetas):
 def _check_field(offset, coeffs, n_levels):
     offset = float(offset)
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1 or coeffs.size != n_levels:
+    if coeffs.shape != (n_levels,):
         raise RangeViolation(
             "need one field coefficient per level, got %r for %d levels"
             % (list(np.atleast_1d(coeffs)), n_levels))
-    if not (math.isfinite(offset) and np.all(np.isfinite(coeffs))):
+    if not (math.isfinite(offset) and np.isfinite(coeffs).all()):
         raise NonFiniteIntegrand("field offset or coefficients are not finite")
     return offset, coeffs
 
@@ -132,45 +142,133 @@ def _plan_levels(n_levels, spec):
     return sizes, sampled
 
 
-def _level_grids(n_levels, spec):
-    sizes, sampled = _plan_levels(n_levels, spec)
-    nodes, weights = [], []
-    for idx in range(n_levels):
-        if sampled[idx]:
-            nd, wt = _sampling_nodes(idx + 1, sizes[idx])
-        else:
-            nd, wt = _hermite_nodes(sizes[idx])
-        nodes.append(nd)
-        weights.append(wt)
-    return nodes, weights
+@dataclass(frozen=True)
+class LevelPlan:
+    """Everything a nested average needs besides the field: the interior
+    weight exponents, per-level nodes and weights (outermost first), and
+    ``inner``, one ``(weights, exponent ratio, end_max)`` entry per
+    interior level, innermost first.  ``end_max`` marks the ascending
+    Gauss-Hermite levels, whose row maximum sits at an end node.
+
+    A plan holds O(k * nodes) floats and no grid-sized buffer, so one
+    can be built per solve and reused by every map application.
+    """
+
+    thetas: tuple
+    nodes: tuple
+    weights: tuple
+    inner: tuple
+
+
+def level_plan(thetas=(), spec=None):
+    """Check the exponents and lay out the levels of a depth-k average."""
+    spec = _DEFAULT_SPEC if spec is None else spec
+    thetas = _check_thetas(thetas)
+    sizes, sampled = _plan_levels(len(thetas) + 1, spec)
+    grids = [_sampling_nodes(i + 1, size) if drawn else _hermite_nodes(size)
+             for i, (size, drawn) in enumerate(zip(sizes, sampled))]
+    nodes, weights = zip(*grids)
+    th = thetas + (1.0,)
+    inner = tuple((weights[i], th[i - 1] / th[i], not sampled[i])
+                  for i in range(len(thetas), 0, -1))
+    return LevelPlan(thetas, nodes, weights, inner)
 
 
 def _field_tensor(offset, coeffs, nodes):
-    n_levels = len(nodes)
-    g = np.array(offset)
-    for idx in range(n_levels):
-        shape = [1] * n_levels
-        shape[idx] = nodes[idx].size
-        g = g + coeffs[idx] * nodes[idx].reshape(shape)
+    """The field offset + sum_a c_a h_a on the tensor grid, outermost
+    level on the first axis, built as one outer sum per level.
+
+    Each outer sum g + c x is the rank-2 product [g, 1] @ [1; c x]:
+    every product is by one, so each entry is the rounded sum g_i + c x_j
+    exactly as ``np.add.outer`` gives it, without numpy's per-row
+    broadcast loop.
+    """
+    g = offset + coeffs[0] * nodes[0]
+    for c, x in zip(coeffs[1:], nodes[1:]):
+        lhs = np.ones((g.size, 2))
+        lhs[:, 0] = g.ravel()
+        rhs = np.ones((2, x.size))
+        rhs[1] = c * x
+        g = (lhs @ rhs).reshape(g.shape + x.shape)
     return g
 
 
-def _reweight(logn, r, w):
-    """Integrate out the innermost level: the normalized weights
-    w * exp(r * logn) along it, their sum, and the reduced log kernel."""
-    a = r * logn
-    mx = a.max(axis=-1, keepdims=True)
-    we = w * np.exp(a - mx)
-    z = we.sum(axis=-1)
-    return we, z, np.squeeze(mx, axis=-1) + np.log(z)
+def _log2cosh(x, out):
+    """log 2cosh(x) = |x| + log1p(exp(-2|x|)) into ``out``, without
+    overflow; ``x`` is overwritten with |x|."""
+    ax = np.abs(x, out=x)
+    np.multiply(ax, -2.0, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += ax
+    return out
 
 
-def _nested_grid(offset, coeffs, thetas, spec):
-    spec = _DEFAULT_SPEC if spec is None else spec
-    thetas = _check_thetas(thetas)
-    offset, coeffs = _check_field(offset, coeffs, len(thetas) + 1)
-    nodes, weights = _level_grids(len(thetas) + 1, spec)
-    return list(thetas) + [1.0], weights, _field_tensor(offset, coeffs, nodes)
+def _reweight(logn, r, w, end_max):
+    """Turn the log kernel of the last axis into the weights
+    w * exp(r * logn - max) in place and return the row max.
+
+    Every level's log kernel is convex in its node (log 2cosh of an
+    affine field, and log-sum-exp keeps convexity), so on ascending
+    nodes the row max is at one of the two end nodes; sampled nodes
+    are unordered and take the full max.
+    """
+    logn *= r
+    if end_max:
+        mx = np.maximum(logn[..., 0], logn[..., -1])
+    else:
+        mx = logn.max(axis=-1)
+    logn -= mx[..., None]
+    np.exp(logn, out=logn)
+    logn *= w
+    return mx
+
+
+def plan_log_cosh(plan, offset, coeffs):
+    """Hierarchical free-energy term on a prepared plan; see
+    ``nested_log_cosh_expect``."""
+    offset, coeffs = _check_field(offset, coeffs, len(plan.nodes))
+    g = _field_tensor(offset, coeffs, plan.nodes)
+    logn = _log2cosh(g, np.empty_like(g))
+    for w, r, end_max in plan.inner:        # integrate out a level
+        mx = _reweight(logn, r, w, end_max)
+        logn = mx + np.log(logn.sum(axis=-1))
+    th1 = plan.thetas[0] if plan.thetas else 1.0
+    value = float(np.dot(plan.weights[0], logn) / th1)
+    if not math.isfinite(value):
+        raise NonFiniteIntegrand("nested average is not finite")
+    return value
+
+
+def plan_moments(plan, offset, coeffs):
+    """Self-consistency map outputs on a prepared plan as one vector
+    ``[m, q_1, ..., q_{k+1}]``; see ``nested_moments``."""
+    offset, coeffs = _check_field(offset, coeffs, len(plan.nodes))
+    g = _field_tensor(offset, coeffs, plan.nodes)
+    # row 0: log kernel; rows 1..: running tanh average, then the
+    # plateaus innermost first
+    rows = np.empty((3,) + g.shape)
+    np.tanh(g, out=rows[1])
+    np.multiply(rows[1], rows[1], out=rows[2])
+    if plan.inner:
+        _log2cosh(g, rows[0])
+    for w, r, end_max in plan.inner:        # integrate out a level
+        mx = _reweight(rows[0], r, w, end_max)
+        rows[1:] *= rows[0]
+        sums = rows.sum(axis=-1)
+        nxt = np.empty((len(rows) + 1,) + sums.shape[1:])
+        np.log(sums[0], out=nxt[0])
+        nxt[0] += mx
+        np.divide(sums[1:], sums[0], out=nxt[1:-1])
+        np.multiply(nxt[1], nxt[1], out=nxt[-1])
+        rows = nxt
+    out = np.array([np.dot(plan.weights[0], v) for v in rows[1:]])
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteIntegrand("nested moment is not finite")
+    x = np.empty(out.size)
+    x[0] = min(1.0, max(-1.0, out[0]))
+    x[1:] = np.maximum.accumulate(np.clip(out[:0:-1], 0.0, 1.0))
+    return x
 
 
 def nested_log_cosh_expect(offset, coeffs, thetas=(), spec=None):
@@ -182,14 +280,7 @@ def nested_log_cosh_expect(offset, coeffs, thetas=(), spec=None):
     the ratio of adjacent weight exponents, and the outermost level
     averages (1/theta_1) * log of the result.
     """
-    th, weights, g = _nested_grid(offset, coeffs, thetas, spec)
-    logn = _log2cosh(g)
-    for b in range(len(th), 1, -1):        # integrate out level b
-        _, _, logn = _reweight(logn, th[b - 2] / th[b - 1], weights[b - 1])
-    value = float(np.dot(weights[0], np.atleast_1d(logn)) / th[0])
-    if not math.isfinite(value):
-        raise NonFiniteIntegrand("nested average is not finite")
-    return value
+    return plan_log_cosh(level_plan(thetas, spec), offset, coeffs)
 
 
 def nested_moments(offset, coeffs, thetas=(), spec=None):
@@ -205,16 +296,5 @@ def nested_moments(offset, coeffs, thetas=(), spec=None):
     made non-decreasing: the map preserves both exactly, so this only
     absorbs rounding at the last digit.
     """
-    th, weights, g = _nested_grid(offset, coeffs, thetas, spec)
-    logn = _log2cosh(g)
-    t = np.tanh(g)
-    vals = np.stack([t, t ** 2])   # running tanh average, then plateaus
-    for b in range(len(th), 1, -1):
-        we, z, logn = _reweight(logn, th[b - 2] / th[b - 1], weights[b - 1])
-        vals = np.sum(we * vals, axis=-1) / z
-        vals = np.concatenate([vals, vals[:1] * vals[:1]])
-    out = [float(np.dot(weights[0], v)) for v in vals]
-    if not all(math.isfinite(v) for v in out):
-        raise NonFiniteIntegrand("nested moment is not finite")
-    qs = np.maximum.accumulate(np.clip(out[:0:-1], 0.0, 1.0))
-    return min(1.0, max(-1.0, out[0])), tuple(qs)
+    x = plan_moments(level_plan(thetas, spec), offset, coeffs)
+    return float(x[0]), tuple(x[1:].tolist())

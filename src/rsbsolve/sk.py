@@ -15,15 +15,21 @@ from dataclasses import replace
 import numpy as np
 
 from .core import Evaluation, RsbAnsatz, SkParams, validate_ansatz
-from .quadrature import nested_log_cosh_expect, nested_moments
+from .quadrature import level_plan, nested_log_cosh_expect, plan_moments
 
 
-def _field(params, ansatz):
-    q = np.asarray(ansatz.qs, dtype=float)
-    dq = np.diff(np.concatenate([[0.0], q]))
+def _field(params, m, qs):
+    q = np.asarray(qs, dtype=float)
+    dq = q - np.concatenate(([0.0], q[:-1]))
     coeffs = params.beta * params.j * np.sqrt(dq)
-    offset = params.beta * params.j0 * ansatz.m
+    offset = params.beta * params.j0 * m
     return offset, coeffs
+
+
+def _sce_step(params, plan, x):
+    """The self-consistency map on the flat vector [m, q_1..q_{k+1}] of
+    an admissible point, with the exponents fixed by ``plan``."""
+    return plan_moments(plan, *_field(params, x[0], x[1:]))
 
 
 def _overlap_source(params, ansatz):
@@ -54,7 +60,7 @@ def sk_pressure_krsb(params, ansatz, spec=None):
     if not isinstance(params, SkParams):
         raise TypeError("params must be SkParams")
     a = validate_ansatz(ansatz)
-    offset, coeffs = _field(params, a)
+    offset, coeffs = _field(params, a.m, a.qs)
     field = nested_log_cosh_expect(offset, coeffs, a.thetas, spec)
     overlap = _overlap_source(params, a)
     bias = -0.5 * params.beta * params.j0 * a.m * a.m
@@ -69,5 +75,5 @@ def sk_sce_krsb(params, ansatz, spec=None):
     The exponents are passed through untouched.
     """
     a = validate_ansatz(ansatz)
-    m, qs = nested_moments(*_field(params, a), a.thetas, spec)
-    return replace(a, m=m, qs=qs)
+    x = _sce_step(params, level_plan(a.thetas, spec), np.array((a.m,) + a.qs))
+    return replace(a, m=x[0], qs=x[1:])

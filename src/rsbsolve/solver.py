@@ -5,13 +5,15 @@ The driver is generic: it iterates any map over scalars, arrays or
 hierarchical trial points.  Trial-point iterates are projected back onto
 the admissible set (clipped magnetization, clipped non-decreasing
 plateaus) after every damped step, which keeps every intermediate state
-constructible.
+constructible.  ``solve_model`` runs the same loop on flat vectors with
+each model's array-level map step and one quadrature plan per start.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .core import (
 )
 from . import hopfield as _hop
 from . import sk as _sk
+from .quadrature import level_plan
 
 
 @dataclass(frozen=True)
@@ -53,10 +56,14 @@ _DEFAULT_OPTIONS = SolverOptions()
 def isotonic_nondecreasing(y):
     """Least-squares projection onto non-decreasing sequences (pool
     adjacent violators, unit weights)."""
+    return np.array(_pool_adjacent(np.asarray(y, dtype=float).tolist()))
+
+
+def _pool_adjacent(values):
     vals = []
     counts = []
-    for v in np.asarray(y, dtype=float):
-        vals.append(float(v))
+    for v in values:
+        vals.append(v)
         counts.append(1)
         while len(vals) > 1 and vals[-2] > vals[-1]:
             total = counts[-1] + counts[-2]
@@ -65,7 +72,10 @@ def isotonic_nondecreasing(y):
             counts.pop()
             vals[-1] = merged
             counts[-1] = total
-    return np.repeat(vals, counts)
+    out = []
+    for v, c in zip(vals, counts):
+        out += [v] * c
+    return out
 
 
 def _flatten(ansatz):
@@ -77,42 +87,31 @@ def _flatten(ansatz):
 
 def _unflatten(vec, template):
     k = template.k
-    m = float(vec[0])
-    qs = np.asarray(vec[1:k + 2], dtype=float)
-    ps = None
-    if template.ps is not None:
-        ps = np.asarray(vec[k + 2:2 * k + 3], dtype=float)
-    m = min(1.0, max(-1.0, m))
-    qs = isotonic_nondecreasing(np.clip(qs, 0.0, 1.0))
-    if ps is not None:
-        ps = isotonic_nondecreasing(np.maximum(ps, 0.0))
-    return replace(template, m=m, qs=tuple(qs),
-                   ps=None if ps is None else tuple(ps))
+    ps = None if template.ps is None else vec[k + 2:2 * k + 3]
+    return replace(template, m=vec[0], qs=vec[1:k + 2], ps=ps)
+
+
+def _projection(k):
+    """Projection of a flat iterate [m, q_1..q_{k+1}, (p_1..)] onto the
+    admissible set: clipped magnetization, clipped non-decreasing
+    overlaps, non-negative non-decreasing conjugates.  Plain floats,
+    since the vectors are a handful of entries long."""
+    def project(vec):
+        v = vec.tolist()
+        out = [min(1.0, max(-1.0, v[0]))]
+        out += _pool_adjacent([0.0 if q < 0.0 else 1.0 if q > 1.0 else q
+                               for q in v[1:k + 2]])
+        out += _pool_adjacent([max(0.0, p) for p in v[k + 2:]])
+        return np.array(out)
+    return project
 
 
 _STALL_WINDOW = 300
 
 
-def damped_fixed_point(f, x0, options=None):
-    """Iterate x <- (1-damping) x + damping f(x) until the update norm
-    drops under tol.
-
-    Works on scalars, arrays and trial points.  A residual that stops
-    improving for a stretch (a damping-induced limit cycle) halves the
-    damping factor, down to 1/32 of the requested value.  Hitting the
-    iteration cap or a domain failure of the map is reported through
-    ``converged=False`` (with the failure message in ``error``), never
-    raised.
-    """
-    opts = _DEFAULT_OPTIONS if options is None else options
-    ansatz_mode = isinstance(x0, RsbAnsatz)
-    scalar_mode = np.isscalar(x0) or (isinstance(x0, np.ndarray) and x0.ndim == 0)
-    if ansatz_mode:
-        x = _flatten(x0)
-        current = x0
-    else:
-        x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-        current = x0
+def _iterate(f, x, opts, project):
+    """The damped loop over flat float vectors; returns a SolveReport
+    whose ``ansatz`` is the last point ``f`` was evaluated at."""
     history = []
     converged = False
     error = None
@@ -122,12 +121,10 @@ def damped_fixed_point(f, x0, options=None):
     since_best = 0
     for iterations in range(1, opts.max_iter + 1):
         try:
-            fx_obj = f(current)
+            fx = f(x)
         except DomainError as exc:
             error = "%s: %s" % (type(exc).__name__, exc)
             break
-        fx = _flatten(fx_obj) if ansatz_mode else \
-            np.atleast_1d(np.asarray(fx_obj, dtype=float))
         residual = float(np.max(np.abs(fx - x)))
         history.append(residual)
         if not math.isfinite(residual):
@@ -144,21 +141,41 @@ def damped_fixed_point(f, x0, options=None):
             if since_best >= _STALL_WINDOW and gamma > opts.damping / 32.0:
                 gamma *= 0.5
                 since_best = 0
-        x = (1.0 - gamma) * x + gamma * fx
-        if ansatz_mode:
-            current = _unflatten(x, x0)
-            x = _flatten(current)
-        else:
-            current = float(x[0]) if scalar_mode else x
-    final = current if not scalar_mode or ansatz_mode else float(np.atleast_1d(current)[0])
+        x = project((1.0 - gamma) * x + gamma * fx)
     return SolveReport(
-        ansatz=final,
+        ansatz=x,
         residual=history[-1] if history else float("inf"),
         iterations=iterations,
         converged=converged,
         residual_history=tuple(history),
         error=error,
     )
+
+
+def damped_fixed_point(f, x0, options=None):
+    """Iterate x <- (1-damping) x + damping f(x) until the update norm
+    drops under tol.
+
+    Works on scalars, arrays and trial points; a trial point is
+    flattened once, iterated as a vector and projected back onto the
+    admissible set after every damped step.  A residual that stops
+    improving for a stretch (a damping-induced limit cycle) halves the
+    damping factor, down to 1/32 of the requested value.  Hitting the
+    iteration cap or a domain failure of the map is reported through
+    ``converged=False`` (with the failure message in ``error``), never
+    raised.
+    """
+    opts = _DEFAULT_OPTIONS if options is None else options
+    if isinstance(x0, RsbAnsatz):
+        rep = _iterate(lambda x: _flatten(f(_unflatten(x, x0))), _flatten(x0),
+                       opts, _projection(x0.k))
+        return rep.with_fields(ansatz=_unflatten(rep.ansatz, x0))
+    scalar = np.ndim(x0) == 0
+    call = (lambda x: f(float(x[0]))) if scalar else f
+    rep = _iterate(lambda x: np.atleast_1d(np.asarray(call(x), dtype=float)),
+                   np.atleast_1d(np.asarray(x0, dtype=float)).copy(), opts,
+                   lambda x: x)
+    return rep.with_fields(ansatz=float(rep.ansatz[0])) if scalar else rep
 
 
 def stationarity_check(pressure_fn, ansatz, step=1e-5):
@@ -225,12 +242,8 @@ def _pressure_fn(model, params, spec):
     raise RangeViolation("model must be 'sk' or 'hopfield', got %r" % model)
 
 
-def _sce_fn(model, params, spec):
-    if model == "sk":
-        return lambda a: _sk.sk_sce_krsb(params, a, spec)
-    if model == "hopfield":
-        return lambda a: _hop.hop_sce_krsb(params, a, spec)
-    raise RangeViolation("model must be 'sk' or 'hopfield', got %r" % model)
+# the map on flat vectors [m, q_1..q_{k+1}], keyed like _pressure_fn
+_SCE_STEPS = {"sk": _sk._sce_step, "hopfield": _hop._sce_step}
 
 
 def default_starts(model, params, k, thetas=(), multistart=True):
@@ -271,15 +284,19 @@ def solve_model(model, params, k=0, thetas=(), spec=None, options=None,
                              % (k, k, len(thetas)))
     if starts is None:
         starts = default_starts(model, params, k, thetas, opts.multistart)
-    sce = _sce_fn(model, params, spec)
     pfn = _pressure_fn(model, params, spec)
     reports = []
     for start in starts:
         if model == "hopfield" and start.ps is not None:
-            # the map iterates with slaved conjugates; a seeded ps would
-            # change the iterate layout after one application
+            # the map iterates with slaved conjugates
             start = replace(start, ps=None)
-        rep = damped_fixed_point(sce, start, opts)
+        # one plan per start, then every step works on flat vectors
+        step = partial(_SCE_STEPS[model], params,
+                       level_plan(start.thetas, spec))
+        rep = _iterate(step, np.array((start.m,) + start.qs), opts,
+                       _projection(start.k))
+        rep = rep.with_fields(ansatz=replace(start, m=rep.ansatz[0],
+                                             qs=rep.ansatz[1:]))
         pressure = None
         stat = None
         if rep.error is None:

@@ -160,3 +160,14 @@ def test_verify_enumeration_suite_small(runner):
     again = invoke(runner, ["verify", "--suite", "enumeration", "--n", "8",
                             "--samples", "20", "--seed", "3"])
     assert res.stdout == again.stdout
+
+
+def test_verify_stationarity_floors_nodes(runner):
+    # the suite's 1e-5 bound is calibrated at 80 nodes, so a coarser
+    # --nodes must not change its verdict or its table
+    coarse = invoke(runner, ["verify", "--suite", "stationarity",
+                             "--nodes", "40"], env={"RSB_NODES": None})
+    default = invoke(runner, ["verify", "--suite", "stationarity"],
+                     env={"RSB_NODES": None})
+    assert coarse.exit_code == 0
+    assert coarse.stdout_bytes == default.stdout_bytes

@@ -16,6 +16,7 @@ from rsbsolve import (
     RsbAnsatz,
     SkParams,
     gauss_expect,
+    hop_p_closed_form,
     hop_sce_krsb,
     nested_log_cosh_expect,
     nested_moments,
@@ -147,6 +148,69 @@ def test_moments_two_levels_against_tensor_transcription():
     assert qs == pytest.approx(want_qs, abs=1e-12)
 
 
+def stack_moments(offset, coeffs, thetas, nodes):
+    # transcription of the stack/sum kernel the map used before the level
+    # plan: running averages stacked per level, full row max, w * exp
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    x, w = x * math.sqrt(2.0), w / math.sqrt(math.pi)
+    levels = len(thetas) + 1
+    g = np.array(offset)
+    for idx, c in enumerate(coeffs):
+        shape = [1] * levels
+        shape[idx] = nodes
+        g = g + c * x.reshape(shape)
+    th = list(thetas) + [1.0]
+    logn = np.abs(g) + np.log1p(np.exp(-2.0 * np.abs(g)))
+    t = np.tanh(g)
+    vals = np.stack([t, t ** 2])
+    for b in range(levels, 1, -1):
+        a = th[b - 2] / th[b - 1] * logn
+        mx = a.max(axis=-1, keepdims=True)
+        we = w * np.exp(a - mx)
+        z = we.sum(axis=-1)
+        logn = np.squeeze(mx, axis=-1) + np.log(z)
+        vals = np.sum(we * vals, axis=-1) / z
+        vals = np.concatenate([vals, vals[:1] * vals[:1]])
+    out = [float(np.dot(w, v)) for v in vals]
+    qs = np.maximum.accumulate(np.clip(out[:0:-1], 0.0, 1.0))
+    return min(1.0, max(-1.0, out[0])), tuple(qs)
+
+
+def _reference_map(model, params, a, nodes):
+    q = np.asarray(a.qs)
+    if model == "sk":
+        offset = params.beta * params.j0 * a.m
+        coeffs = params.beta * params.j * np.sqrt(np.diff(q, prepend=0.0))
+    else:
+        ps = np.asarray(hop_p_closed_form(params, a))
+        offset = params.beta * a.m
+        coeffs = np.sqrt(params.alpha * params.beta
+                         * np.diff(ps, prepend=0.0))
+    return stack_moments(offset, coeffs, a.thetas, nodes)
+
+
+@pytest.mark.parametrize("k,nodes", [(0, 80), (1, 80), (2, 24)])
+def test_maps_match_stack_kernel_transcription(k, nodes):
+    rng = np.random.default_rng(20 + k)
+    spec = QuadratureSpec(nodes_per_level=nodes)
+    for _ in range(100):
+        a = RsbAnsatz(k=k, m=rng.uniform(-1.0, 1.0),
+                      qs=np.sort(rng.uniform(0.0, 1.0, k + 1)),
+                      thetas=np.sort(rng.uniform(0.05, 0.95, k)))
+        # below beta = 1 every response denominator is at least 1 - beta
+        cases = [("sk", sk_sce_krsb,
+                  SkParams(beta=rng.uniform(0.2, 2.5), j0=rng.uniform(0, 1.5),
+                           j=rng.uniform(0.5, 1.5))),
+                 ("hopfield", hop_sce_krsb,
+                  HopfieldParams(beta=rng.uniform(0.2, 0.95),
+                                 alpha=rng.uniform(0.01, 0.2)))]
+        for model, mapping, params in cases:
+            got = mapping(params, a, spec)
+            m, qs = _reference_map(model, params, a, nodes)
+            assert got.m == pytest.approx(m, abs=1e-14)
+            assert got.qs == pytest.approx(qs, abs=1e-14)
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_one_grid_pass_per_map_application(k, monkeypatch):
     calls = []
@@ -249,3 +313,20 @@ def test_ratio_bounded_by_one(offset, coeff, theta):
                            spec=QuadratureSpec(nodes_per_level=24))
     val = qs[-1]
     assert -1e-12 <= val <= 1.0 + 1e-12
+
+
+def test_large_field_cannot_overflow():
+    # offset and coefficients far past exp's range: the log-domain kernels
+    # with their end-node row max must stay finite, and the field's sign
+    # dominates the average
+    spec = QuadratureSpec(nodes_per_level=16)
+    m, qs = nested_moments(300.0, [50.0, 50.0, 50.0], (0.3, 0.6), spec)
+    assert m == pytest.approx(1.0, abs=1e-6)
+    assert all(math.isfinite(q) and 0.0 <= q <= 1.0 for q in qs)
+    assert qs == pytest.approx((1.0, 1.0, 1.0), abs=1e-6)
+    value = nested_log_cosh_expect(300.0, [50.0, 50.0, 50.0], (0.3, 0.6),
+                                   spec)
+    assert math.isfinite(value)
+    # each level's log-average is at least its plain average (Jensen),
+    # and E log 2cosh(g) >= |E g|
+    assert value >= 300.0

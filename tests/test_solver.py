@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rsbsolve import (
     BracketViolation,
+    HopfieldParams,
     QuadratureSpec,
     RsbAnsatz,
     SkParams,
@@ -17,11 +18,14 @@ from rsbsolve import (
     default_starts,
     extremize_theta,
     golden_section_max,
+    hop_sce_krsb,
     isotonic_nondecreasing,
     sk_pressure_rs,
+    sk_sce_krsb,
     solve_model,
     stationarity_check,
 )
+from test_acceptance import SOLVE_POINTS
 
 FAST = QuadratureSpec(nodes_per_level=16)
 
@@ -164,3 +168,54 @@ def test_single_start_override():
     reps = solve_model("sk", params, k=0, starts=[start])
     assert len(reps) == 1
     assert reps[0].converged
+
+
+def _solve_point(model, beta, thetas):
+    return next(p for p in SOLVE_POINTS
+                if p[0] == model and p[1].beta == beta and p[2] == thetas)
+
+
+def _public_map(model, params, spec):
+    mapping = sk_sce_krsb if model == "sk" else hop_sce_krsb
+    return lambda a: mapping(params, a, spec)
+
+
+# the slow pairwise point, a pattern point and a two-level pairwise point
+# on the coarse grid the benchmark uses for k=2
+_PATH_POINTS = [
+    _solve_point("sk", 1.1, (0.5,)),
+    _solve_point("hopfield", 1.2, (0.3,)),
+    _solve_point("sk", 2.0, (0.3, 0.6))[:3] + (24,),
+]
+
+
+@pytest.mark.parametrize("model,params,thetas,nodes", _PATH_POINTS)
+def test_solve_path_matches_public_map_iteration(model, params, thetas,
+                                                 nodes):
+    # solve_model iterates flat vectors on a per-start plan; it must take
+    # the trajectory of the public ansatz map under damped_fixed_point
+    spec = QuadratureSpec(nodes_per_level=nodes)
+    for start in default_starts(model, params, len(thetas), thetas):
+        got = solve_model(model, params, len(thetas), thetas, spec,
+                          starts=[start])[0]
+        want = damped_fixed_point(_public_map(model, params, spec), start)
+        assert got.converged and want.converged
+        assert got.iterations == want.iterations
+        assert got.residual_history == pytest.approx(
+            want.residual_history, abs=1e-12)
+        assert got.ansatz.m == pytest.approx(want.ansatz.m, abs=1e-12)
+        assert got.ansatz.qs == pytest.approx(want.ansatz.qs, abs=1e-12)
+
+
+def test_solve_path_reports_divergence_like_public_map():
+    # the first damped step drops the outer denominator below zero
+    params = _solve_point("hopfield", 1.6, (0.5,))[1]
+    spec = QuadratureSpec(nodes_per_level=24)
+    start = RsbAnsatz(k=1, m=0.0, qs=(0.0, 1.0), thetas=(0.5,))
+    got = solve_model("hopfield", params, 1, (0.5,), spec, starts=[start])[0]
+    want = damped_fixed_point(_public_map("hopfield", params, spec), start)
+    assert not got.converged and not want.converged
+    assert got.pressure is None
+    assert got.error.startswith("SusceptibilityDivergence: ")
+    assert got.error == want.error
+    assert got.iterations == want.iterations > 1
