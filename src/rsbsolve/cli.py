@@ -34,7 +34,7 @@ from .oracle import (
 )
 from .hopfield import hop_pressure_krsb, hop_pressure_rs
 from .sk import sk_pressure_krsb, sk_pressure_rs
-from .solver import SolverOptions, solve_model
+from .solver import SolverOptions, solve_grid, solve_model
 
 # the contract reserves exit code 2 for missing convergence; click's
 # default usage-error code collides with it
@@ -106,7 +106,10 @@ def _model_options(f):
         click.option("--damping", type=float, default=0.5, show_default=True,
                      help="Fixed-point damping factor."),
         click.option("--tol", type=float, default=1e-10, show_default=True,
-                     help="Fixed-point residual tolerance."),
+                     help="Fixed-point residual tolerance: bounds "
+                          "max|f(x) - x| at the reported iterate, not its "
+                          "distance to the fixed point (about "
+                          "tol / (1 - contraction rate))."),
         click.option("--max-iter", type=int, default=20000, show_default=True,
                      help="Iteration cap per start."),
     ]
@@ -188,9 +191,7 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _sweep_rows(model, params, k, thetas, spec, options):
-    reports = solve_model(model, params, k=k, thetas=thetas, spec=spec,
-                          options=options)
+def _sweep_rows(model, params, k, reports):
     param_cells = [_fmt(params.beta)] + (
         [_fmt(params.j0), _fmt(params.j)] if model == "sk"
         else [_fmt(params.alpha)])
@@ -251,13 +252,13 @@ def sweep(model, beta, j0, j, alpha, k, thetas, nodes, damping, tol, max_iter,
     else:
         base.update(alpha=params.alpha)
 
-    def solve_point(overrides):
-        merged = dict(base, **overrides)
-        pt_params = SkParams(**merged) if model == "sk" \
-            else HopfieldParams(**merged)
-        return _sweep_rows(model, pt_params, k, thetas, spec, options)
-
-    results = [solve_point(pt) for pt in points]
+    cls = SkParams if model == "sk" else HopfieldParams
+    grid = [cls(**dict(base, **pt)) for pt in points]
+    # every point and start in lockstep, one block map step per iteration
+    reports = solve_grid(model, grid, k=k, thetas=thetas, spec=spec,
+                         options=options)
+    results = [_sweep_rows(model, params, k, reps)
+               for params, reps in zip(grid, reports)]
 
     header = ["beta", "j0", "j"] if model == "sk" else ["beta", "alpha"]
     header += ["branch", "m"]

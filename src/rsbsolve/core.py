@@ -245,7 +245,8 @@ class SolveReport:
     scalar or array for generic maps).  ``pressure`` and ``stationarity``
     are filled by the model drivers and stay None for generic maps or
     failed branches.  ``residual_history`` keeps the per-iteration update
-    norms for diagnostics.
+    norms for diagnostics, and ``start`` the index of the start a model
+    solve iterated from (None for generic maps).
     """
 
     ansatz: object
@@ -256,6 +257,7 @@ class SolveReport:
     stationarity: float | None = None
     residual_history: tuple = ()
     error: str | None = None
+    start: int | None = None
 
     def with_fields(self, **kw):
         return replace(self, **kw)

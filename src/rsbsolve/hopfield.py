@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    DomainError,
     Evaluation,
     HopfieldParams,
     RangeViolation,
@@ -84,11 +85,15 @@ def hop_p_closed_form(params, ansatz):
     return tuple(_conjugates(params.beta, a.qs, qd))
 
 
-def _field_coeffs(params, ps):
-    dp = np.diff(np.concatenate([[0.0], np.asarray(ps, dtype=float)]))
-    if np.any(dp < 0.0):
+def _field_coeffs(alpha_beta, ps):
+    """Field coefficients sqrt(alpha beta dp) of conjugate plateaus
+    ``ps`` (last axis); ``alpha_beta`` broadcasts against them."""
+    p = np.asarray(ps, dtype=float)
+    dp = p.copy()
+    dp[..., 1:] = p[..., 1:] - p[..., :-1]
+    if (dp < 0.0).any():
         raise RangeViolation("conjugate plateaus must be non-decreasing")
-    return np.sqrt(params.alpha * params.beta * dp)
+    return np.sqrt(alpha_beta * dp)
 
 
 def _hop_terms(params, ansatz, ps, qd):
@@ -129,7 +134,8 @@ def hop_pressure_krsb(params, ansatz, spec=None):
                                  "bias_source": -0.5 * beta * a.m * a.m})
     qd = _denominators(beta, a.qs, a.thetas)
     ps = a.ps if a.ps is not None else _conjugates(beta, a.qs, qd)
-    field = nested_log_cosh_expect(beta * a.m, _field_coeffs(params, ps),
+    field = nested_log_cosh_expect(beta * a.m,
+                                   _field_coeffs(alpha * beta, ps),
                                    a.thetas, spec)
     tower, logterm, qterm, pterm, mix = _hop_terms(params, a, ps, qd)
     bias = -0.5 * beta * a.m * a.m
@@ -157,22 +163,51 @@ def hop_sce_rs(params, m, q, spec=None):
     return nxt.m, nxt.qs[0], p
 
 
-def _sce_step(params, plan, x, ps=None):
-    """The self-consistency map on the flat vector [m, q_1..q_{k+1}] of
-    an admissible point, with the exponents fixed by ``plan`` (unused at
-    zero load).  Field coefficients come from ``ps`` when given, else
-    from the closed-form conjugates at the incoming overlaps."""
-    alpha, beta = params.alpha, params.beta
-    if alpha == 0.0:
-        # no pattern layer: every plateau is the squared magnetization
-        m = math.tanh(beta * x[0])
-        out = np.full(len(x), m * m)
-        out[0] = m
-        return out
-    if ps is None:
-        q = x[1:].tolist()
-        ps = _conjugates(beta, q, _denominators(beta, q, plan.thetas))
-    return plan_moments(plan, beta * x[0], _field_coeffs(params, ps))
+def _lanes(params_seq):
+    """Per-lane map constants (beta, alpha, alpha beta) of a block of
+    points."""
+    return np.array([(p.beta, p.alpha, p.alpha * p.beta) for p in params_seq],
+                    dtype=float)
+
+
+def _sce_step(lanes, plan, x, ps=None):
+    """The self-consistency map on a block of flat vectors
+    [m, q_1..q_{k+1}] of admissible points, one row per lane, with
+    per-lane constants from ``_lanes`` and the exponents fixed by
+    ``plan`` (unused at zero load).  Field coefficients come from the
+    rows of ``ps`` when given, else from the closed-form conjugates at
+    the incoming overlaps.
+
+    Returns the mapped block and a dict from row to the
+    ``DomainError`` that lane's conjugates raised (its row is NaN).
+    The conjugates stay plain-float arithmetic, one lane at a time.
+    """
+    out = np.full(x.shape, np.nan)
+    failed = {}
+    loaded, conj = [], []
+    for i, ((beta, alpha, _), row) in enumerate(zip(lanes.tolist(),
+                                                    x.tolist())):
+        if alpha == 0.0:
+            # no pattern layer: every plateau is the squared magnetization
+            m = math.tanh(beta * row[0])
+            out[i] = m * m
+            out[i, 0] = m
+            continue
+        if ps is not None:
+            conj.append(ps[i])
+        else:
+            q = row[1:]
+            try:
+                conj.append(_conjugates(beta, q,
+                                        _denominators(beta, q, plan.thetas)))
+            except DomainError as exc:
+                failed[i] = exc
+                continue
+        loaded.append(i)
+    if loaded:
+        out[loaded] = plan_moments(plan, lanes[loaded, 0] * x[loaded, 0],
+                                   _field_coeffs(lanes[loaded, 2:], conj))
+    return out, failed
 
 
 def hop_sce_krsb(params, ansatz, spec=None):
@@ -189,5 +224,8 @@ def hop_sce_krsb(params, ansatz, spec=None):
     a = validate_ansatz(ansatz)
     # zero load needs no plan, so its exponents skip the quadrature floor
     plan = level_plan(a.thetas, spec) if params.alpha != 0.0 else None
-    x = _sce_step(params, plan, np.array((a.m,) + a.qs), a.ps)
-    return replace(a, m=x[0], qs=x[1:], ps=None)
+    x, failed = _sce_step(_lanes([params]), plan, np.array([(a.m,) + a.qs]),
+                          None if a.ps is None else [a.ps])
+    if failed:
+        raise failed[0]
+    return replace(a, m=x[0, 0], qs=x[0, 1:], ps=None)

@@ -15,8 +15,9 @@ caller-supplied seed.
 A ``LevelPlan`` fixes the exponents, nodes, weights and exponent ratios
 of one depth; ``plan_moments`` / ``plan_log_cosh`` evaluate on it, so a
 solver builds the plan once and every map application only builds the
-field.  The field is a sum of outer products, the transcendentals run in
-place and each level is integrated out with one matrix-vector product.
+field.  ``plan_moments`` evaluates a block of lanes (fields) at once.
+The field is a sum of outer products, the transcendentals run in place
+and each level is integrated out with one row sum.
 Everything runs in the log domain with a max subtraction per reduction,
 so large arguments cannot overflow; on Gauss-Hermite levels that max is
 read off the two end nodes, since every level's log kernel is convex in
@@ -69,11 +70,6 @@ def _sampling_nodes(level, count):
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-def _log2cosh(x):
-    ax = np.abs(x)
-    return ax + np.log1p(np.exp(-2.0 * ax))
 
 
 def gauss_expect(f, spec=None):
@@ -175,20 +171,22 @@ def level_plan(thetas=(), spec=None):
 
 
 def _field_tensor(offset, coeffs, nodes):
-    """The field offset + sum_a c_a h_a on the tensor grid, outermost
-    level on the first axis, built as one outer sum per level.
+    """The fields offset + sum_a c_a h_a of a block of lanes on the
+    tensor grid: lane on the first axis, then the levels outermost
+    first, built as one outer sum per level.
 
-    Each outer sum g + c x is the rank-2 product [g, 1] @ [1; c x]:
-    every product is by one, so each entry is the rounded sum g_i + c x_j
-    exactly as ``np.add.outer`` gives it, without numpy's per-row
-    broadcast loop.
+    Each outer sum g + c x is the rank-2 product [g, 1] @ [1; c x], one
+    matrix per lane: every product is by one, so each entry is the
+    rounded sum g_i + c x_j exactly as ``np.add.outer`` gives it,
+    without numpy's per-row broadcast loop.
     """
-    g = offset + coeffs[0] * nodes[0]
-    for c, x in zip(coeffs[1:], nodes[1:]):
-        lhs = np.ones((g.size, 2))
-        lhs[:, 0] = g.ravel()
-        rhs = np.ones((2, x.size))
-        rhs[1] = c * x
+    g = offset[:, None] + coeffs[:, :1] * nodes[0]
+    for a, x in enumerate(nodes[1:], 1):
+        lanes = len(g)
+        lhs = np.ones((lanes, g[0].size, 2))
+        lhs[:, :, 0] = g.reshape(lanes, -1)
+        rhs = np.ones((lanes, 2, x.size))
+        rhs[:, 1] = coeffs[:, a, None] * x
         g = (lhs @ rhs).reshape(g.shape + x.shape)
     return g
 
@@ -228,7 +226,7 @@ def plan_log_cosh(plan, offset, coeffs):
     """Hierarchical free-energy term on a prepared plan; see
     ``nested_log_cosh_expect``."""
     offset, coeffs = _check_field(offset, coeffs, len(plan.nodes))
-    g = _field_tensor(offset, coeffs, plan.nodes)
+    g = _field_tensor(np.array([offset]), coeffs[None], plan.nodes)[0]
     logn = _log2cosh(g, np.empty_like(g))
     for w, r, end_max in plan.inner:        # integrate out a level
         mx = _reweight(logn, r, w, end_max)
@@ -241,9 +239,19 @@ def plan_log_cosh(plan, offset, coeffs):
 
 
 def plan_moments(plan, offset, coeffs):
-    """Self-consistency map outputs on a prepared plan as one vector
-    ``[m, q_1, ..., q_{k+1}]``; see ``nested_moments``."""
-    offset, coeffs = _check_field(offset, coeffs, len(plan.nodes))
+    """Self-consistency map outputs of a block of lanes on a prepared
+    plan: ``offset`` holds one field offset per lane and ``coeffs`` one
+    row of field coefficients per lane, and row i of the result is lane
+    i's ``[m, q_1, ..., q_{k+1}]``; see ``nested_moments``.
+
+    Lanes never mix: every step is elementwise or a row sum over the
+    last axis, and the outermost level is one vector dot product per
+    lane and output (``np.vecdot`` runs the same dot kernel as ``np.dot``
+    of two vectors; a matrix-vector product would not), so a lane's row
+    is bit for bit what a block of one gives.
+    """
+    if not (np.isfinite(offset).all() and np.isfinite(coeffs).all()):
+        raise NonFiniteIntegrand("field offset or coefficients are not finite")
     g = _field_tensor(offset, coeffs, plan.nodes)
     # row 0: log kernel; rows 1..: running tanh average, then the
     # plateaus innermost first
@@ -262,12 +270,15 @@ def plan_moments(plan, offset, coeffs):
         np.divide(sums[1:], sums[0], out=nxt[1:-1])
         np.multiply(nxt[1], nxt[1], out=nxt[-1])
         rows = nxt
-    out = np.array([np.dot(plan.weights[0], v) for v in rows[1:]])
-    if not np.all(np.isfinite(out)):
+    out = np.vecdot(rows[1:], plan.weights[0]).T
+    if not np.isfinite(out).all():
         raise NonFiniteIntegrand("nested moment is not finite")
-    x = np.empty(out.size)
-    x[0] = min(1.0, max(-1.0, out[0]))
-    x[1:] = np.maximum.accumulate(np.clip(out[:0:-1], 0.0, 1.0))
+    # the finite outputs are clipped as min(hi, max(lo, v)), plateaus
+    # outermost first and made non-decreasing
+    x = np.empty(out.shape)
+    np.minimum(np.maximum(out[:, 0], -1.0), 1.0, out=x[:, 0])
+    np.maximum.accumulate(np.minimum(np.maximum(out[:, :0:-1], 0.0), 1.0),
+                          axis=1, out=x[:, 1:])
     return x
 
 
@@ -296,5 +307,7 @@ def nested_moments(offset, coeffs, thetas=(), spec=None):
     made non-decreasing: the map preserves both exactly, so this only
     absorbs rounding at the last digit.
     """
-    x = plan_moments(level_plan(thetas, spec), offset, coeffs)
+    plan = level_plan(thetas, spec)
+    offset, coeffs = _check_field(offset, coeffs, len(plan.nodes))
+    x = plan_moments(plan, np.array([offset]), coeffs[None])[0]
     return float(x[0]), tuple(x[1:].tolist())

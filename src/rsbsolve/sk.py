@@ -18,18 +18,31 @@ from .core import Evaluation, RsbAnsatz, SkParams, validate_ansatz
 from .quadrature import level_plan, nested_log_cosh_expect, plan_moments
 
 
-def _field(params, m, qs):
-    q = np.asarray(qs, dtype=float)
-    dq = q - np.concatenate(([0.0], q[:-1]))
-    coeffs = params.beta * params.j * np.sqrt(dq)
-    offset = params.beta * params.j0 * m
-    return offset, coeffs
+def _lanes(params_seq):
+    """Per-lane map constants (beta j0, beta j) of a block of points."""
+    return np.array([(p.beta * p.j0, p.beta * p.j) for p in params_seq],
+                    dtype=float)
 
 
-def _sce_step(params, plan, x):
-    """The self-consistency map on the flat vector [m, q_1..q_{k+1}] of
-    an admissible point, with the exponents fixed by ``plan``."""
-    return plan_moments(plan, *_field(params, x[0], x[1:]))
+def _field(lanes, x):
+    """Field offsets and coefficients of a block of flat vectors
+    [m, q_1..q_{k+1}], one row per lane."""
+    q = x[:, 1:]
+    dq = q.copy()
+    dq[:, 1:] = q[:, 1:] - q[:, :-1]
+    return lanes[:, 0] * x[:, 0], lanes[:, 1, None] * np.sqrt(dq)
+
+
+def _sce_step(lanes, plan, x):
+    """The self-consistency map on a block of flat vectors of admissible
+    points, with per-lane constants from ``_lanes`` and the exponents
+    fixed by ``plan``.  Returns the mapped block and the lanes whose map
+    failed, which for this model is none."""
+    return plan_moments(plan, *_field(lanes, x)), {}
+
+
+def _flat(ansatz):
+    return np.array([(ansatz.m,) + ansatz.qs])
 
 
 def _overlap_source(params, ansatz):
@@ -60,8 +73,8 @@ def sk_pressure_krsb(params, ansatz, spec=None):
     if not isinstance(params, SkParams):
         raise TypeError("params must be SkParams")
     a = validate_ansatz(ansatz)
-    offset, coeffs = _field(params, a.m, a.qs)
-    field = nested_log_cosh_expect(offset, coeffs, a.thetas, spec)
+    offset, coeffs = _field(_lanes([params]), _flat(a))
+    field = nested_log_cosh_expect(offset[0], coeffs[0], a.thetas, spec)
     overlap = _overlap_source(params, a)
     bias = -0.5 * params.beta * params.j0 * a.m * a.m
     return Evaluation(pressure=field + overlap + bias,
@@ -75,5 +88,5 @@ def sk_sce_krsb(params, ansatz, spec=None):
     The exponents are passed through untouched.
     """
     a = validate_ansatz(ansatz)
-    x = _sce_step(params, level_plan(a.thetas, spec), np.array((a.m,) + a.qs))
-    return replace(a, m=x[0], qs=x[1:])
+    x, _ = _sce_step(_lanes([params]), level_plan(a.thetas, spec), _flat(a))
+    return replace(a, m=x[0, 0], qs=x[0, 1:])

@@ -1,15 +1,18 @@
 """Damped iteration, projection, exponent search, stationarity checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rsbsolve.sk
 from rsbsolve import (
     BracketViolation,
     HopfieldParams,
+    NonFiniteIntegrand,
     QuadratureSpec,
     RsbAnsatz,
     SkParams,
@@ -22,6 +25,7 @@ from rsbsolve import (
     isotonic_nondecreasing,
     sk_pressure_rs,
     sk_sce_krsb,
+    solve_grid,
     solve_model,
     stationarity_check,
 )
@@ -127,6 +131,22 @@ def test_exponent_search_glass_phase():
     assert ext.report.converged
 
 
+def test_exponent_search_minimizes_pairwise_pressure():
+    # Guerra's bound: every exponent gives an upper bound on the pressure,
+    # so the search must find the interior minimum near theta ~ 0.23
+    # (P ~ 1.174014), well below the flat value 1.174117, and not run to
+    # the bracket edge where the solved pressure approaches it
+    spec = QuadratureSpec(nodes_per_level=40)
+    params = SkParams(beta=1.4, j0=0.0, j=1.0)
+    ext = extremize_theta("sk", params, 1, spec=spec, sweeps=1, tol=1e-2)
+    flat = max(r.pressure for r in solve_model("sk", params, 0, spec=spec)
+               if r.converged)
+    assert ext.degenerate == (False,)
+    assert 0.05 < ext.thetas[0] < 0.9
+    assert ext.pressure <= flat - 5e-5
+    assert ext.curvature[0] > 0.0
+
+
 def test_stationarity_analytic_quadratic():
     def pressure(a):
         return -(a.m - 1.0) ** 2
@@ -219,3 +239,100 @@ def test_solve_path_reports_divergence_like_public_map():
     assert got.error.startswith("SusceptibilityDivergence: ")
     assert got.error == want.error
     assert got.iterations == want.iterations > 1
+
+
+def test_solve_report_names_its_start():
+    # cold start -> m = 0 branch, aligned start -> retrieval branch
+    params = HopfieldParams(beta=1.5, alpha=0.02)
+    spec = QuadratureSpec(nodes_per_level=40)
+    hot, cold = default_starts("hopfield", params, 0)
+    forward = solve_model("hopfield", params, 0, spec=spec, starts=[hot, cold])
+    backward = solve_model("hopfield", params, 0, spec=spec,
+                           starts=[cold, hot])
+    assert sorted(r.start for r in forward) == [0, 1]
+    for rep in forward:
+        alone = solve_model("hopfield", params, 0, spec=spec,
+                            starts=[(hot, cold)[rep.start]])[0]
+        assert rep.ansatz == alone.ansatz
+        twin = next(r for r in backward if r.ansatz == rep.ansatz)
+        assert twin.start == 1 - rep.start
+    assert damped_fixed_point(np.cos, 0.3).start is None
+
+
+# (model, points, exponents, nodes): lanes of one grid that leave the
+# block at very different iterations or fail
+_GRID_CASES = {
+    # lanes need 52 to 678 iterations
+    "sk_k0_row": ("sk", [SkParams(beta=1.9, j0=j, j=1.0)
+                         for j in np.linspace(0.0, 1.4, 8)], (), 80),
+    # a zero-load lane, a cold start that diverges at its second step,
+    # and at step 301 one of two running lanes halves its damping
+    "hopfield_k0_row": ("hopfield", [HopfieldParams(beta=2.0, alpha=a)
+                                     for a in np.linspace(0.0, 0.14, 8)]
+                        + [HopfieldParams(beta=2.3, alpha=0.06)], (), 80),
+    # both starts reach one branch 1.1e-9 apart with pressures equal to
+    # the last bit, so which one is reported rides on every bit
+    "hopfield_k1_tie": ("hopfield", [HopfieldParams(beta=1.4, alpha=0.06),
+                                     HopfieldParams(beta=1.2, alpha=0.1)],
+                        (0.6,), 80),
+    "sk_k2": ("sk", [SkParams(beta=2.0, j0=0.3, j=1.0)], (0.3, 0.6), 24),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GRID_CASES))
+def test_grid_lanes_match_separate_solves(case):
+    # repr keeps every bit of every field and compares nan equal
+    model, points, thetas, nodes = _GRID_CASES[case]
+    spec = QuadratureSpec(nodes_per_level=nodes)
+    k = len(thetas)
+    grid = solve_grid(model, points, k, thetas, spec)
+    assert len(grid) == len(points)
+    for params, reports in zip(points, grid):
+        single = solve_model(model, params, k, thetas, spec)
+        assert list(map(repr, reports)) == list(map(repr, single))
+        starts = default_starts(model, params, k, thetas)
+        for i, start in enumerate(starts):
+            alone = solve_model(model, params, k, thetas, spec,
+                                starts=[start])[0]
+            kept = [r for r in reports if r.start == i]
+            if kept:
+                assert repr(kept[0]) == repr(replace(alone, start=i))
+            else:
+                # dropped as a duplicate of a branch that was kept
+                assert alone.converged
+                assert any(max(abs(alone.ansatz.m - r.ansatz.m),
+                               *(abs(a - b) for a, b in zip(alone.ansatz.qs,
+                                                            r.ansatz.qs)))
+                           < 1e-7 for r in reports if r.converged)
+
+
+def test_grid_blocks_respect_tensor_budget(monkeypatch):
+    points = [SkParams(beta=1.9, j0=j, j=1.0) for j in np.linspace(0, 1.4, 8)]
+    want = solve_grid("sk", points)
+    sizes = []
+    kernel = rsbsolve.sk.plan_moments
+
+    def spy(plan, offset, coeffs):
+        sizes.append(len(offset))
+        return kernel(plan, offset, coeffs)
+
+    monkeypatch.setattr(rsbsolve.sk, "plan_moments", spy)
+    # three lanes of the 80-point k=0 grid per block
+    tight = QuadratureSpec(max_tensor_points=3 * 80 + 79)
+    got = solve_grid("sk", points, spec=tight)
+    assert max(sizes) == 3
+    assert list(map(repr, got)) == list(map(repr, want))
+
+
+def test_grid_propagates_non_finite_field():
+    # beta * j overflows, so the first block map application cannot
+    # integrate; the error stops the whole grid as it stops one solve
+    points = [SkParams(beta=1.0), SkParams(beta=1e308, j=10.0)]
+    with pytest.raises(NonFiniteIntegrand):
+        solve_grid("sk", points)
+    with pytest.raises(NonFiniteIntegrand):
+        solve_model("sk", points[1])
+
+
+def test_grid_of_no_points_is_empty():
+    assert solve_grid("sk", []) == []
