@@ -12,11 +12,13 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import click
 
 from .core import (
+    BudgetExceeded,
     HopfieldParams,
     OrderingViolation,
     QuadratureSpec,
@@ -40,7 +42,18 @@ from .solver import SolverOptions, solve_grid, solve_model
 # default usage-error code collides with it
 click.exceptions.UsageError.exit_code = 1
 
-_VALIDATION_ERRORS = (RangeViolation, OrderingViolation, ShapeMismatch)
+_USAGE_ERRORS = (RangeViolation, OrderingViolation, ShapeMismatch,
+                 BudgetExceeded)
+
+
+@contextmanager
+def _usage_errors():
+    # bad flag values surface as typed errors deep in the library; report
+    # them as usage errors (exit 1), never as tracebacks
+    try:
+        yield
+    except _USAGE_ERRORS as exc:
+        raise click.UsageError(str(exc))
 
 
 def _default_nodes():
@@ -55,10 +68,8 @@ def _default_nodes():
 
 def _build_spec(nodes):
     n = _default_nodes() if nodes is None else nodes
-    try:
+    with _usage_errors():
         return QuadratureSpec(nodes_per_level=n)
-    except _VALIDATION_ERRORS as exc:
-        raise click.UsageError(str(exc))
 
 
 def _build_params(model, beta, j0, j, alpha):
@@ -78,10 +89,8 @@ def _build_params(model, beta, j0, j, alpha):
         if alpha is not None:
             kwargs["alpha"] = alpha
         cls = HopfieldParams
-    try:
+    with _usage_errors():
         return cls(**kwargs)
-    except _VALIDATION_ERRORS as exc:
-        raise click.UsageError(str(exc))
 
 
 def _model_options(f):
@@ -101,7 +110,8 @@ def _model_options(f):
         click.option("--theta", "thetas", type=float, multiple=True,
                      help="Weight exponent, once per level (k values)."),
         click.option("--nodes", type=int, default=None,
-                     help="Quadrature nodes per level "
+                     help="Quadrature nodes per level, at most; fewer at "
+                          "deep k so the grid fits the budget "
                           "[default: RSB_NODES or 80]."),
         click.option("--damping", type=float, default=0.5, show_default=True,
                      help="Fixed-point damping factor."),
@@ -116,14 +126,6 @@ def _model_options(f):
     for opt in reversed(opts):
         f = opt(f)
     return f
-
-
-def _solve_point(model, params, k, thetas, spec, options):
-    try:
-        return solve_model(model, params, k=k, thetas=thetas, spec=spec,
-                           options=options)
-    except _VALIDATION_ERRORS as exc:
-        raise click.UsageError(str(exc))
 
 
 def _branch_dict(index, report):
@@ -153,11 +155,10 @@ def solve(model, beta, j0, j, alpha, k, thetas, nodes, damping, tol, max_iter):
             "depth %d needs exactly %d --theta values, got %d"
             % (k, k, len(thetas)))
     spec = _build_spec(nodes)
-    try:
+    with _usage_errors():
         options = SolverOptions(damping=damping, tol=tol, max_iter=max_iter)
-    except _VALIDATION_ERRORS as exc:
-        raise click.UsageError(str(exc))
-    reports = _solve_point(model, params, k, thetas, spec, options)
+        reports = solve_model(model, params, k=k, thetas=thetas, spec=spec,
+                              options=options)
     branches = [r for r in reports if r.converged]
     payload = [_branch_dict(i, r) for i, r in enumerate(branches)]
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -236,10 +237,8 @@ def sweep(model, beta, j0, j, alpha, k, thetas, nodes, damping, tol, max_iter,
     if len(axes) > 2:
         raise click.UsageError("at most two sweep axes are supported")
     spec = _build_spec(nodes)
-    try:
+    with _usage_errors():
         options = SolverOptions(damping=damping, tol=tol, max_iter=max_iter)
-    except _VALIDATION_ERRORS as exc:
-        raise click.UsageError(str(exc))
 
     parsed = [_parse_axis(a, model) for a in axes]
     points = [{}]
@@ -253,10 +252,11 @@ def sweep(model, beta, j0, j, alpha, k, thetas, nodes, damping, tol, max_iter,
         base.update(alpha=params.alpha)
 
     cls = SkParams if model == "sk" else HopfieldParams
-    grid = [cls(**dict(base, **pt)) for pt in points]
-    # every point and start in lockstep, one block map step per iteration
-    reports = solve_grid(model, grid, k=k, thetas=thetas, spec=spec,
-                         options=options)
+    with _usage_errors():
+        grid = [cls(**dict(base, **pt)) for pt in points]
+        # every point and start in lockstep, one block map step per iteration
+        reports = solve_grid(model, grid, k=k, thetas=thetas, spec=spec,
+                             options=options)
     results = [_sweep_rows(model, params, k, reps)
                for params, reps in zip(grid, reports)]
 
@@ -283,11 +283,8 @@ def sweep(model, beta, j0, j, alpha, k, thetas, nodes, damping, tol, max_iter,
 
 def _suite_collapse(n, samples, seed, spec):
     # a degenerate hierarchy (all plateaus equal) must reproduce the flat
-    # evaluation exactly; small node counts keep every level on the
-    # deterministic grid
-    capped = QuadratureSpec(nodes_per_level=min(spec.nodes_per_level, 24),
-                            mc_samples=spec.mc_samples,
-                            max_tensor_points=spec.max_tensor_points)
+    # evaluation exactly
+    capped = replace(spec, nodes_per_level=min(spec.nodes_per_level, 24))
     checks = []
     skp = SkParams(beta=1.1, j0=0.3, j=0.9)
     hop = HopfieldParams(beta=1.1, alpha=0.08)
@@ -456,7 +453,8 @@ _SUITES = {
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Base seed for all sampling.")
 @click.option("--nodes", type=int, default=None,
-              help="Quadrature nodes per level [default: RSB_NODES or 80]. "
+              help="Quadrature nodes per level, at most; fewer at deep k "
+                   "so the grid fits the budget [default: RSB_NODES or 80]. "
                    "The stationarity suite solves on at least 80, the "
                    "resolution its bound is calibrated at; the collapse "
                    "suite uses at most 24.")

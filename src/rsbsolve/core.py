@@ -31,8 +31,8 @@ class NonFiniteIntegrand(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """The tensor grid is larger than the configured budget and there is
-    no sampling fallback to shrink it."""
+    """The tensor grid does not fit the configured budget even with two
+    nodes per level."""
 
 
 class DomainError(ArithmeticError):
@@ -203,25 +203,23 @@ def validate_ansatz(ansatz):
 class QuadratureSpec:
     """Budget knobs for the nested Gaussian averages.
 
-    ``nodes_per_level`` deterministic quadrature nodes are used on each
-    level as long as the full tensor grid stays within
-    ``max_tensor_points``; outer levels are then switched one by one to
-    ``mc_samples`` antithetic sampling nodes.  ``mc_samples = 0`` disables
-    the fallback, in which case an oversized grid raises BudgetExceeded.
+    Every level of a depth-k average uses the same number n of
+    Gauss-Hermite nodes: the largest n <= ``nodes_per_level`` whose
+    tensor grid n^(k+1) fits ``max_tensor_points``.  So
+    ``nodes_per_level`` is an upper bound that deep hierarchies fall
+    below (the default gives 80 nodes up to k=2, 32 at k=3, 16 at k=4);
+    a grid that does not fit with two nodes per level raises
+    BudgetExceeded.
     """
 
     nodes_per_level: int = 80
-    mc_samples: int = 32
-    max_tensor_points: int = 2_000_000
+    max_tensor_points: int = 1 << 20
 
     def __post_init__(self):
         object.__setattr__(self, "nodes_per_level", int(self.nodes_per_level))
-        object.__setattr__(self, "mc_samples", int(self.mc_samples))
         object.__setattr__(self, "max_tensor_points", int(self.max_tensor_points))
         if self.nodes_per_level < 2:
             raise RangeViolation("nodes_per_level must be >= 2")
-        if self.mc_samples < 0:
-            raise RangeViolation("mc_samples must be >= 0")
         if self.max_tensor_points < 1:
             raise RangeViolation("max_tensor_points must be >= 1")
 

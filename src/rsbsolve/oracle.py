@@ -183,7 +183,11 @@ def _hop_chain(patterns, beta, n, sweeps, rng, sigma):
     return m_trace, e_trace
 
 
-def _sk_chain(j, beta, n, sweeps, rng, sigma, states_out=None):
+def _sk_chain(j, beta, n, sweeps, rng, sigma, record=None):
+    """Random-site Metropolis chain on pairwise couplings ``j``, flipping
+    ``sigma`` in place; returns the per-sweep magnetization and energy
+    per site.  ``record``, an (r, n) array, receives the spins after
+    each of the last r sweeps."""
     phi = j @ sigma
     energy = -0.5 * float(sigma @ phi)
     m_trace = np.empty(sweeps)
@@ -200,9 +204,8 @@ def _sk_chain(j, beta, n, sweeps, rng, sigma, states_out=None):
                 sigma[b] = -sigma[b]
         m_trace[t] = sigma.mean()
         e_trace[t] = energy / n
-        if states_out is not None:
-            states_out[t] = int(((sigma > 0).astype(np.int64)
-                                 * (1 << np.arange(n))).sum())
+        if record is not None and t >= sweeps - len(record):
+            record[t - sweeps + len(record)] = sigma
     return m_trace, e_trace
 
 
@@ -261,10 +264,10 @@ def metropolis_state_trace(params, n, sweeps, seed=0, couplings=None):
     if couplings is None:
         couplings = sk_disorder_sample(params, n, substream(seed, 3, 0)).matrix
     sigma = (substream(seed, 3, 1).integers(0, 2, size=n) * 2.0 - 1.0)
-    states = np.empty(sweeps, dtype=np.int64)
+    spins = np.empty((sweeps, n))
     _sk_chain(couplings, params.beta, n, sweeps, substream(seed, 3, 2),
-              sigma, states_out=states)
-    return states
+              sigma, record=spins)
+    return (spins > 0).astype(np.int64) @ (1 << np.arange(n))
 
 
 @dataclass(frozen=True)
@@ -298,25 +301,10 @@ def overlap_histogram(params, n, sweeps, seed=0, disorder_samples=2, bins=41):
     burn = sweeps // 2
     for d in range(disorder_samples):
         sample = sk_disorder_sample(params, n, substream(seed, 4, d))
-        sigmas = [np.ones(n), np.ones(n)]
-        rngs = [substream(seed, 4, d, r + 1) for r in range(2)]
-        traces = []
-        for r in range(2):
-            phi = sample.matrix @ sigmas[r]
-            tr = np.empty((sweeps - burn, n))
-            for t in range(sweeps):
-                sites = rngs[r].integers(0, n, size=n)
-                u = rngs[r].random(n)
-                s = sigmas[r]
-                for k in range(n):
-                    b = sites[k]
-                    dh = 2.0 * s[b] * phi[b]
-                    if dh <= 0.0 or u[k] < math.exp(-params.beta * dh):
-                        phi -= 2.0 * s[b] * sample.matrix[:, b]
-                        s[b] = -s[b]
-                if t >= burn:
-                    tr[t - burn] = s
-            traces.append(tr)
+        traces = [np.empty((sweeps - burn, n)) for _ in range(2)]
+        for r, tr in enumerate(traces):
+            _sk_chain(sample.matrix, params.beta, n, sweeps,
+                      substream(seed, 4, d, r + 1), np.ones(n), record=tr)
         qs.extend(((traces[0] * traces[1]).mean(axis=1)).tolist())
     qs = np.asarray(qs)
     edges = np.linspace(-1.0, 1.0, bins + 1)

@@ -6,11 +6,9 @@ Two kernels walk the same grid and the same per-level reweighting:
 magnetization and all overlap plateaus) from one pass.
 
 All expectations are over independent standard normals, one per
-hierarchy level.  Deterministic Gauss-Hermite nodes are used per level
-(physicists' nodes rescaled to unit variance); when the tensor product
-would blow the configured budget, outer levels degrade one by one to a
-fixed antithetic sampling rule so results stay reproducible without any
-caller-supplied seed.
+hierarchy level, on Gauss-Hermite nodes (physicists' nodes rescaled to
+unit variance).  Every level gets the same node count, the largest that
+``QuadratureSpec`` allows and whose tensor grid fits its budget.
 
 A ``LevelPlan`` fixes the exponents, nodes, weights and exponent ratios
 of one depth; ``plan_moments`` / ``plan_log_cosh`` evaluate on it, so a
@@ -19,9 +17,8 @@ field.  ``plan_moments`` evaluates a block of lanes (fields) at once.
 The field is a sum of outer products, the transcendentals run in place
 and each level is integrated out with one row sum.
 Everything runs in the log domain with a max subtraction per reduction,
-so large arguments cannot overflow; on Gauss-Hermite levels that max is
-read off the two end nodes, since every level's log kernel is convex in
-its node.
+so large arguments cannot overflow; that max is read off the two end
+nodes, since every level's log kernel is convex in its node.
 """
 
 from __future__ import annotations
@@ -55,21 +52,6 @@ def _hermite_nodes(n):
     h.setflags(write=False)
     wn.setflags(write=False)
     return h, wn
-
-
-@lru_cache(maxsize=256)
-def _sampling_nodes(level, count):
-    # Fixed stream per (level, count): identical runs never depend on call
-    # order, process, or platform.
-    ss = np.random.SeedSequence(entropy=0x5EED, spawn_key=(int(level), int(count)))
-    gen = np.random.Generator(np.random.Philox(ss))
-    half = (count + 1) // 2
-    draws = gen.standard_normal(half)
-    nodes = np.concatenate([draws, -draws])[:count]
-    weights = np.full(count, 1.0 / count)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
 
 
 def gauss_expect(f, spec=None):
@@ -117,34 +99,25 @@ def _check_field(offset, coeffs, n_levels):
 
 
 def _plan_levels(n_levels, spec):
-    """Node count per level, degrading outer levels to sampling nodes
-    until the tensor grid fits the budget."""
-    sizes = [spec.nodes_per_level] * n_levels
-    sampled = [False] * n_levels
-    i = 0
-    while math.prod(sizes) > spec.max_tensor_points and i < n_levels:
-        if spec.mc_samples <= 0:
-            raise BudgetExceeded(
-                "grid of %d points exceeds max_tensor_points=%d and "
-                "mc_samples is 0" % (math.prod(sizes), spec.max_tensor_points))
-        sizes[i] = spec.mc_samples
-        sampled[i] = True
-        i += 1
-    if math.prod(sizes) > spec.max_tensor_points:
+    """Node count of every level: the largest n <= ``nodes_per_level``
+    with n ** n_levels <= ``max_tensor_points``, checked in integers."""
+    budget = spec.max_tensor_points
+    n = min(spec.nodes_per_level, int(budget ** (1.0 / n_levels)) + 1)
+    while n ** n_levels > budget:
+        n -= 1
+    if n < 2:
         raise BudgetExceeded(
-            "grid of %d points exceeds max_tensor_points=%d even with "
-            "sampling nodes on every level"
-            % (math.prod(sizes), spec.max_tensor_points))
-    return sizes, sampled
+            "%d levels of 2 nodes need %d grid points, over "
+            "max_tensor_points=%d" % (n_levels, 2 ** n_levels, budget))
+    return n
 
 
 @dataclass(frozen=True)
 class LevelPlan:
     """Everything a nested average needs besides the field: the interior
     weight exponents, per-level nodes and weights (outermost first), and
-    ``inner``, one ``(weights, exponent ratio, end_max)`` entry per
-    interior level, innermost first.  ``end_max`` marks the ascending
-    Gauss-Hermite levels, whose row maximum sits at an end node.
+    ``inner``, one ``(weights, exponent ratio)`` entry per interior
+    level, innermost first.
 
     A plan holds O(k * nodes) floats and no grid-sized buffer, so one
     can be built per solve and reused by every map application.
@@ -160,14 +133,12 @@ def level_plan(thetas=(), spec=None):
     """Check the exponents and lay out the levels of a depth-k average."""
     spec = _DEFAULT_SPEC if spec is None else spec
     thetas = _check_thetas(thetas)
-    sizes, sampled = _plan_levels(len(thetas) + 1, spec)
-    grids = [_sampling_nodes(i + 1, size) if drawn else _hermite_nodes(size)
-             for i, (size, drawn) in enumerate(zip(sizes, sampled))]
-    nodes, weights = zip(*grids)
+    nodes, weights = _hermite_nodes(_plan_levels(len(thetas) + 1, spec))
     th = thetas + (1.0,)
-    inner = tuple((weights[i], th[i - 1] / th[i], not sampled[i])
+    inner = tuple((weights, th[i - 1] / th[i])
                   for i in range(len(thetas), 0, -1))
-    return LevelPlan(thetas, nodes, weights, inner)
+    levels = len(thetas) + 1
+    return LevelPlan(thetas, (nodes,) * levels, (weights,) * levels, inner)
 
 
 def _field_tensor(offset, coeffs, nodes):
@@ -202,20 +173,16 @@ def _log2cosh(x, out):
     return out
 
 
-def _reweight(logn, r, w, end_max):
+def _reweight(logn, r, w):
     """Turn the log kernel of the last axis into the weights
     w * exp(r * logn - max) in place and return the row max.
 
     Every level's log kernel is convex in its node (log 2cosh of an
-    affine field, and log-sum-exp keeps convexity), so on ascending
-    nodes the row max is at one of the two end nodes; sampled nodes
-    are unordered and take the full max.
+    affine field, and log-sum-exp keeps convexity), so on the ascending
+    nodes the row max is at one of the two end nodes.
     """
     logn *= r
-    if end_max:
-        mx = np.maximum(logn[..., 0], logn[..., -1])
-    else:
-        mx = logn.max(axis=-1)
+    mx = np.maximum(logn[..., 0], logn[..., -1])
     logn -= mx[..., None]
     np.exp(logn, out=logn)
     logn *= w
@@ -228,8 +195,8 @@ def plan_log_cosh(plan, offset, coeffs):
     offset, coeffs = _check_field(offset, coeffs, len(plan.nodes))
     g = _field_tensor(np.array([offset]), coeffs[None], plan.nodes)[0]
     logn = _log2cosh(g, np.empty_like(g))
-    for w, r, end_max in plan.inner:        # integrate out a level
-        mx = _reweight(logn, r, w, end_max)
+    for w, r in plan.inner:        # integrate out a level
+        mx = _reweight(logn, r, w)
         logn = mx + np.log(logn.sum(axis=-1))
     th1 = plan.thetas[0] if plan.thetas else 1.0
     value = float(np.dot(plan.weights[0], logn) / th1)
@@ -260,8 +227,8 @@ def plan_moments(plan, offset, coeffs):
     np.multiply(rows[1], rows[1], out=rows[2])
     if plan.inner:
         _log2cosh(g, rows[0])
-    for w, r, end_max in plan.inner:        # integrate out a level
-        mx = _reweight(rows[0], r, w, end_max)
+    for w, r in plan.inner:        # integrate out a level
+        mx = _reweight(rows[0], r, w)
         rows[1:] *= rows[0]
         sums = rows.sum(axis=-1)
         nxt = np.empty((len(rows) + 1,) + sums.shape[1:])

@@ -113,8 +113,6 @@ def test_quadrature_spec_validation():
     with pytest.raises(RangeViolation):
         QuadratureSpec(nodes_per_level=1)
     with pytest.raises(RangeViolation):
-        QuadratureSpec(mc_samples=-1)
-    with pytest.raises(RangeViolation):
         QuadratureSpec(max_tensor_points=0)
     spec = QuadratureSpec()
     assert spec.nodes_per_level == 80

@@ -48,6 +48,27 @@ def test_theta_count_mismatch_is_usage_error(runner):
     assert res.exit_code == 1
 
 
+DEEP_THETAS = [a for i in range(20) for a in ("--theta", "%g" % (0.04 * (i + 1)))]
+
+
+@pytest.mark.parametrize("args", [
+    # a grid point outside the parameter domain
+    ["sweep", "--model", "sk", "--beta", "1", "--sweep", "beta=-1:1:3"],
+    # an exponent below the floor, rejected by the solver
+    ["sweep", "--model", "sk", "--beta", "1", "--k", "1", "--theta", "0.001",
+     "--sweep", "beta=0.5:1:2"],
+    # twenty levels do not fit the default budget even at two nodes
+    ["solve", "--model", "sk", "--beta", "1", "--k", "20"] + DEEP_THETAS,
+    ["sweep", "--model", "sk", "--beta", "1", "--k", "20"] + DEEP_THETAS
+    + ["--sweep", "beta=0.5:1:2"],
+], ids=["sweep_bad_point", "sweep_bad_theta", "solve_budget", "sweep_budget"])
+def test_library_errors_are_usage_errors(runner, args):
+    res = invoke(runner, args)
+    assert res.exit_code == 1
+    assert "Error:" in res.output
+    assert res.stdout == ""
+
+
 def test_unknown_suite_is_usage_error(runner):
     res = runner.invoke(main, ["verify", "--suite", "bogus"])
     assert res.exit_code == 1

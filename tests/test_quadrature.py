@@ -17,9 +17,13 @@ from rsbsolve import (
     SkParams,
     gauss_expect,
     hop_p_closed_form,
+    hop_pressure_krsb,
+    hop_pressure_rs,
     hop_sce_krsb,
     nested_log_cosh_expect,
     nested_moments,
+    sk_pressure_krsb,
+    sk_pressure_rs,
     sk_sce_krsb,
 )
 from rsbsolve import quadrature
@@ -268,22 +272,78 @@ def test_offset_symmetry():
 
 
 def test_budget_exhausted_raises():
-    spec = QuadratureSpec(nodes_per_level=40, mc_samples=0,
-                          max_tensor_points=100)
+    # three levels of two nodes already need 8 points
+    spec = QuadratureSpec(nodes_per_level=40, max_tensor_points=7)
     with pytest.raises(BudgetExceeded):
         nested_log_cosh_expect(0.2, [0.5, 0.3, 0.2], thetas=[0.3, 0.6],
                                spec=spec)
 
 
-def test_monte_carlo_fallback_deterministic():
-    spec = QuadratureSpec(nodes_per_level=40, mc_samples=8,
-                          max_tensor_points=5000)
-    a = nested_log_cosh_expect(0.2, [0.5, 0.3, 0.2], thetas=[0.3, 0.6],
-                               spec=spec)
-    b = nested_log_cosh_expect(0.2, [0.5, 0.3, 0.2], thetas=[0.3, 0.6],
-                               spec=spec)
-    assert a == b
-    assert math.isfinite(a)
+def test_over_budget_spec_fits_node_count():
+    # 40^3 points exceed the budget, 17^3 = 4913 is the largest cube in it
+    spec = QuadratureSpec(nodes_per_level=40, max_tensor_points=5000)
+    fitted = QuadratureSpec(nodes_per_level=17, max_tensor_points=5000)
+    args = (0.2, [0.5, 0.3, 0.2])
+    assert nested_log_cosh_expect(*args, thetas=[0.3, 0.6], spec=spec) == \
+        nested_log_cosh_expect(*args, thetas=[0.3, 0.6], spec=fitted)
+    assert nested_moments(*args, thetas=[0.3, 0.6], spec=spec) == \
+        nested_moments(*args, thetas=[0.3, 0.6], spec=fitted)
+
+
+@pytest.mark.parametrize("k,nodes", [(0, 80), (1, 80), (2, 80), (3, 32),
+                                     (4, 16), (5, 10), (8, 4), (19, 2)])
+def test_default_plan_fits_budget(k, nodes):
+    thetas = tuple(np.linspace(0.05, 0.95, k))
+    plan = quadrature.level_plan(thetas)
+    assert [len(x) for x in plan.nodes] == [nodes] * (k + 1)
+    assert nodes ** (k + 1) <= QuadratureSpec().max_tensor_points
+
+
+def test_default_plan_budget_ends_at_twenty_levels():
+    with pytest.raises(BudgetExceeded):
+        quadrature.level_plan(tuple(np.linspace(0.05, 0.95, 20)))
+
+
+DEEP_MODELS = pytest.mark.parametrize("params,pressure,sce,flat", [
+    pytest.param(SkParams(beta=1.1, j0=0.3, j=0.9), sk_pressure_krsb,
+                 sk_sce_krsb, sk_pressure_rs, id="sk"),
+    pytest.param(HopfieldParams(beta=1.1, alpha=0.08), hop_pressure_krsb,
+                 hop_sce_krsb, hop_pressure_rs, id="hopfield"),
+])
+
+
+@DEEP_MODELS
+def test_default_three_level_grid_is_converged(params, pressure, sce, flat):
+    a = RsbAnsatz(k=3, m=0.3, qs=(0.2, 0.45, 0.6, 0.8),
+                  thetas=(0.3, 0.55, 0.8))
+    p = pressure(params, a).pressure
+    x = sce(params, a)
+    # the default budget fits 32 nodes per level at k=3
+    explicit = QuadratureSpec(nodes_per_level=32)
+    assert pressure(params, a, spec=explicit).pressure == p
+    assert sce(params, a, explicit) == x
+    for n in (28, 36):
+        spec = QuadratureSpec(nodes_per_level=n, max_tensor_points=n ** 4)
+        assert pressure(params, a, spec=spec).pressure == pytest.approx(
+            p, abs=1e-10)
+        y = sce(params, a, spec)
+        assert y.m == pytest.approx(x.m, abs=1e-10)
+        assert y.qs == pytest.approx(x.qs, abs=1e-10)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@DEEP_MODELS
+def test_default_spec_collapse_up_to_eight_levels(params, pressure, sce, flat,
+                                                  k):
+    # equal plateaus make every inner level an identity on any grid, so
+    # the deep pressure is the flat one on the fitted node count
+    thetas = tuple((i + 1.0) / (k + 1.0) for i in range(k))
+    nodes = len(quadrature.level_plan(thetas).nodes[0])
+    for q in (0.4, 0.9):
+        a = RsbAnsatz(k=k, m=0.3, qs=(q,) * (k + 1), thetas=thetas)
+        ref = flat(params, 0.3, q, spec=QuadratureSpec(nodes_per_level=nodes))
+        assert pressure(params, a).pressure == pytest.approx(
+            ref.pressure, abs=1e-10)
 
 
 def test_exponent_below_floor_rejected():
