@@ -335,45 +335,35 @@ def _statistical_row(name, check, rel_tol=1e-2, sigmas=4.0):
 def _suite_lemmas(n, samples, seed, spec):
     n = 6 if n is None else n
     samples = 1000 if samples is None else samples
+    exact = min(samples, 64)
+    # (model, params, point, extra arguments) of each identity family
+    flat = ("sk", SkParams(beta=1.0, j0=0.8, j=1.0),
+            InterpolationPoint(t=0.5, x=(0.4,), w=0.3), {})
+    decoupled = flat[:2] + (InterpolationPoint(t=0.0, x=(0.0,), w=0.3), {})
+    onestep = ("sk", SkParams(beta=1.2, j0=0.7, j=1.0),
+               InterpolationPoint(t=0.5, x=(0.4, 0.25), w=0.3),
+               {"thetas": (0.5,)})
+    pattern = ("hopfield", HopfieldParams(beta=0.6, alpha=0.5),
+               InterpolationPoint(t=0.5, x=(0.5,), y=(0.6,), z=0.3, w=0.3),
+               {"p": 3})
+    # (row, family, target, samples, bound); no bound marks a Monte Carlo row
+    rows = [("flat_t_identity", flat, "t", samples, None),
+            ("flat_x_identity", flat, "x", samples, None),
+            ("flat_w_identity", flat, "w", exact, 1e-8),
+            ("flat_w_decoupled", decoupled, "w", 8, 1e-10),
+            ("onestep_x1_identity", onestep, "x1", samples, None),
+            ("onestep_x2_identity", onestep, "x2", samples, None),
+            ("onestep_w_identity", onestep, "w", exact, 1e-8)]
+    rows += [("pattern_%s_identity" % t, pattern, t, samples, None)
+             for t in "txy"]
+    rows += [("pattern_%s_identity" % t, pattern, t, exact, 1e-8)
+             for t in "zw"]
     checks = []
-
-    skp = SkParams(beta=1.0, j0=0.8, j=1.0)
-    pt = InterpolationPoint(t=0.5, x=(0.4,), w=0.3)
-    for target in ("t", "x"):
-        c = interpolation_derivative_check("sk", target, pt, skp, n=n,
-                                           samples=samples, seed=seed)
-        checks.append(_statistical_row("flat_%s_identity" % target, c))
-    c = interpolation_derivative_check("sk", "w", pt, skp, n=n,
-                                       samples=min(samples, 64), seed=seed)
-    checks.append(("flat_w_identity", c.abs_diff, 1e-8))
-    c = interpolation_derivative_check(
-        "sk", "w", InterpolationPoint(t=0.0, x=(0.0,), w=0.3), skp, n=n,
-        samples=8, seed=seed)
-    checks.append(("flat_w_decoupled", c.abs_diff, 1e-10))
-
-    skp1 = SkParams(beta=1.2, j0=0.7, j=1.0)
-    pt1 = InterpolationPoint(t=0.5, x=(0.4, 0.25), w=0.3)
-    for target in ("x1", "x2"):
-        c = interpolation_derivative_check("sk", target, pt1, skp1, n=n,
-                                           samples=samples, seed=seed,
-                                           thetas=(0.5,))
-        checks.append(_statistical_row("onestep_%s_identity" % target, c))
-    c = interpolation_derivative_check("sk", "w", pt1, skp1, n=n,
-                                       samples=min(samples, 64), seed=seed,
-                                       thetas=(0.5,))
-    checks.append(("onestep_w_identity", c.abs_diff, 1e-8))
-
-    hpp = HopfieldParams(beta=0.6, alpha=0.5)
-    pth = InterpolationPoint(t=0.5, x=(0.5,), y=(0.6,), z=0.3, w=0.3)
-    for target in ("t", "x", "y"):
-        c = interpolation_derivative_check("hopfield", target, pth, hpp, n=n,
-                                           samples=samples, seed=seed, p=3)
-        checks.append(_statistical_row("pattern_%s_identity" % target, c))
-    for target in ("z", "w"):
-        c = interpolation_derivative_check("hopfield", target, pth, hpp, n=n,
-                                           samples=min(samples, 64), seed=seed,
-                                           p=3)
-        checks.append(("pattern_%s_identity" % target, c.abs_diff, 1e-8))
+    for name, (model, params, point, extra), target, count, bound in rows:
+        c = interpolation_derivative_check(model, target, point, params, n=n,
+                                           samples=count, seed=seed, **extra)
+        checks.append(_statistical_row(name, c) if bound is None
+                      else (name, c.abs_diff, bound))
     return checks
 
 

@@ -179,8 +179,9 @@ def _sce_step(lanes, plan, x, ps=None):
     the incoming overlaps.
 
     Returns the mapped block and a dict from row to the
-    ``DomainError`` that lane's conjugates raised (its row is NaN).
-    The conjugates stay plain-float arithmetic, one lane at a time.
+    ``DomainError`` that lane's conjugates raised, or the
+    ``NonFiniteIntegrand`` of its field (its row is NaN).  The
+    conjugates stay plain-float arithmetic, one lane at a time.
     """
     out = np.full(x.shape, np.nan)
     failed = {}
@@ -205,8 +206,10 @@ def _sce_step(lanes, plan, x, ps=None):
                 continue
         loaded.append(i)
     if loaded:
-        out[loaded] = plan_moments(plan, lanes[loaded, 0] * x[loaded, 0],
-                                   _field_coeffs(lanes[loaded, 2:], conj))
+        out[loaded], bad = plan_moments(
+            plan, lanes[loaded, 0] * x[loaded, 0],
+            _field_coeffs(lanes[loaded, 2:], conj))
+        failed.update((loaded[i], exc) for i, exc in bad.items())
     return out, failed
 
 

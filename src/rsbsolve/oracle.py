@@ -127,16 +127,19 @@ def _gray_energies_hopfield(patterns):
     return out
 
 
+def _quenched(beta, n, samples, energies):
+    """Quenched pressure: the mean over samples s of log Z / n, with Z
+    summed over ``energies(s)``, the energy of every state of sample s."""
+    return _mean_se([float(logsumexp(-beta * energies(s))) / n
+                     for s in range(samples)])
+
+
 def enumerate_sk_pressure(params, n, samples=1, seed=0):
     """Quenched finite-size pressure by exact enumeration (n <= 20)."""
     if not 1 <= n <= 20:
         raise RangeViolation("n must lie in [1, 20] for enumeration")
-    vals = []
-    for s in range(samples):
-        sample = sk_disorder_sample(params, n, substream(seed, 0, s))
-        energies = _gray_energies_sk(sample.matrix)
-        vals.append(float(logsumexp(-params.beta * energies)) / n)
-    return _mean_se(vals)
+    return _quenched(params.beta, n, samples, lambda s: _gray_energies_sk(
+        sk_disorder_sample(params, n, substream(seed, 0, s)).matrix))
 
 
 def enumerate_hopfield_pressure(params, n, samples=1, seed=0, p=None,
@@ -149,13 +152,9 @@ def enumerate_hopfield_pressure(params, n, samples=1, seed=0, p=None,
     """
     if not 1 <= n <= 18:
         raise RangeViolation("n must lie in [1, 18] for enumeration")
-    vals = []
-    for s in range(samples):
-        sample = hopfield_disorder_sample(params, n, substream(seed, 1, s),
-                                          p=p, boolean_patterns=boolean_patterns)
-        energies = _gray_energies_hopfield(sample.patterns)
-        vals.append(float(logsumexp(-params.beta * energies)) / n)
-    return _mean_se(vals)
+    return _quenched(params.beta, n, samples, lambda s: _gray_energies_hopfield(
+        hopfield_disorder_sample(params, n, substream(seed, 1, s), p=p,
+                                 boolean_patterns=boolean_patterns).patterns))
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +320,13 @@ def overlap_histogram(params, n, sweeps, seed=0, disorder_samples=2, bins=41):
 class InterpolationPoint:
     """Coordinates of the interpolating pressure: time ``t``, one site
     field variance per hierarchy level in ``x``, hidden-layer field
-    variances ``y``, hidden self-coupling ``z``, bias field ``w``.
-    ``level`` selects the component for level-resolved targets."""
+    variances ``y``, hidden self-coupling ``z``, bias field ``w``."""
 
     t: float = 0.0
     x: tuple = ()
     y: tuple = ()
     z: float = 0.0
     w: float = 0.0
-    level: int = 1
 
 
 @dataclass(frozen=True)
@@ -345,46 +342,52 @@ class DerivativeCheck:
     stderr: float
 
 
-def _richardson(f, p0, delta, richardson):
-    d1 = (f(p0 + delta) - f(p0 - delta)) / (2.0 * delta)
-    if not richardson:
-        return d1
-    d2 = (f(p0 + 0.5 * delta) - f(p0 - 0.5 * delta)) / delta
-    return (4.0 * d2 - d1) / 3.0
-
-
 def _softmax(logw):
     mx = logw.max()
     w = np.exp(logw - mx)
     return w / w.sum()
 
 
-# -- flat-level pairwise model ----------------------------------------------
+# A sample class is one disorder sample of one interpolating pressure: its
+# substream ``key``, its ``targets``, the ``roots`` among them under a
+# square root, and ``coords`` of a point, the keywords of ``value`` and
+# ``brackets``.
 
 class _SkRsSample:
+    """Flat-level pairwise model."""
+
+    key = 10
+    targets = ("t", "x", "w")
+    roots = ("t", "x")
+
+    @staticmethod
+    def coords(point):
+        return {"t": point.t, "x": point.x[0] if point.x else 0.0,
+                "w": point.w}
+
     def __init__(self, params, n, rng):
+        self.params = params
         self.n = n
         self.s = _state_matrix(n)
         z = rng.standard_normal((n, n))
         self.b2 = (params.j * math.sqrt(2.0) / (2.0 * math.sqrt(n))) * \
             np.einsum("si,ij,sj->s", self.s, z, self.s)
-        self.h = rng.standard_normal(n)
-        self.hs = self.s @ self.h
+        self.hs = self.s @ rng.standard_normal(n)
         self.msum = self.s.sum(axis=1)
 
-    def logw(self, params, t, x, w):
-        beta, j0 = params.beta, params.j0
+    def logw(self, t, x, w):
+        beta, j0 = self.params.beta, self.params.j0
         return beta * (math.sqrt(t) * self.b2
                        + math.sqrt(x) * self.hs
                        + t * 0.5 * j0 * self.msum ** 2 / self.n
                        + w * j0 * self.msum)
 
-    def value(self, params, t, x, w):
-        return float(logsumexp(self.logw(params, t, x, w))) / self.n
+    def value(self, t, x, w):
+        return float(logsumexp(self.logw(t, x, w))) / self.n
 
-    def brackets(self, params, t, x, w):
-        beta, j0, j = params.beta, params.j0, params.j
-        p = _softmax(self.logw(params, t, x, w))
+    def brackets(self, t, x, w):
+        beta, j0, j = self.params.beta, self.params.j0, self.params.j
+        p = _softmax(self.logw(t, x, w))
         om_i = p @ self.s
         om_ij = self.s.T @ (p[:, None] * self.s)
         q2 = float((om_ij ** 2).mean())
@@ -398,37 +401,39 @@ class _SkRsSample:
         }
 
 
-# -- one-step hierarchical pairwise model -----------------------------------
+class _Sk1rsbSample(_SkRsSample):
+    """One-step hierarchical pairwise model: the flat sample's couplings
+    and outer field, drawn first, plus ``inner`` draws of the inner
+    field reweighted with exponent ``theta``."""
 
-class _Sk1rsbSample:
-    def __init__(self, params, n, rng, inner):
-        self.n = n
-        self.s = _state_matrix(n)
-        z = rng.standard_normal((n, n))
-        self.b2 = (params.j * math.sqrt(2.0) / (2.0 * math.sqrt(n))) * \
-            np.einsum("si,ij,sj->s", self.s, z, self.s)
-        self.h1s = self.s @ rng.standard_normal(n)
+    key = 11
+    targets = ("x1", "x2", "w")
+    roots = ("x1", "x2")
+
+    @staticmethod
+    def coords(point):
+        if len(point.x) != 2:
+            raise RangeViolation("one-step checks need two field variances in x")
+        return {"t": point.t, "x1": point.x[0], "x2": point.x[1], "w": point.w}
+
+    def __init__(self, params, n, rng, theta, inner):
+        super().__init__(params, n, rng)
+        self.theta = theta
         self.h2s = self.s @ rng.standard_normal((n, inner))   # states x inner
-        self.msum = self.s.sum(axis=1)
 
-    def _log_inner(self, params, theta, t, x1, x2, w):
-        beta, j0 = params.beta, params.j0
-        base = beta * (math.sqrt(t) * self.b2
-                       + math.sqrt(x1) * self.h1s
-                       + t * 0.5 * j0 * self.msum ** 2 / self.n
-                       + w * j0 * self.msum)
-        logw = base[:, None] + params.beta * math.sqrt(x2) * self.h2s
-        logz2 = logsumexp(logw, axis=0)                        # per inner draw
-        return logw, logz2
+    def _log_inner(self, t, x1, x2, w):
+        logw = (self.logw(t, x1, w)[:, None]
+                + self.params.beta * math.sqrt(x2) * self.h2s)
+        return logw, logsumexp(logw, axis=0)                  # per inner draw
 
-    def value(self, params, theta, t, x1, x2, w):
-        _, logz2 = self._log_inner(params, theta, t, x1, x2, w)
-        inner = logz2.size
+    def value(self, t, x1, x2, w):
+        _, logz2 = self._log_inner(t, x1, x2, w)
+        inner, theta = logz2.size, self.theta
         return float(logsumexp(theta * logz2) - math.log(inner)) / theta / self.n
 
-    def brackets(self, params, theta, t, x1, x2, w):
-        beta, j0 = params.beta, params.j0
-        logw, logz2 = self._log_inner(params, theta, t, x1, x2, w)
+    def brackets(self, t, x1, x2, w):
+        beta, j0, theta = self.params.beta, self.params.j0, self.theta
+        logw, logz2 = self._log_inner(t, x1, x2, w)
         pk = np.exp(logw - logz2[None, :])                     # states x inner
         om = pk.T @ self.s                                     # inner x sites
         wk = _softmax(theta * logz2)
@@ -443,23 +448,33 @@ class _Sk1rsbSample:
         }
 
 
-# -- flat-level pattern model ------------------------------------------------
-
 class _HopRsSample:
-    def __init__(self, params, n, rng, p):
-        self.n = n
-        self.p = p
-        self.s = _state_matrix(n)
-        self.xi1 = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        self.noise = rng.standard_normal((max(p - 1, 0), n))
-        self.jmu = rng.standard_normal(max(p - 1, 0))
-        self.h = rng.standard_normal(n)
-        self.ret = self.s @ self.xi1
-        self.hs = self.s @ self.h
-        self.ns = self.s @ self.noise.T                        # states x (p-1)
+    """Flat-level pattern model: the patterns of
+    ``hopfield_disorder_sample``, then the hidden-layer and site fields."""
 
-    def _parts(self, params, t, x, y, z, w):
-        beta = params.beta
+    key = 12
+    targets = ("t", "x", "y", "z", "w")
+    roots = ("t", "x", "y")
+
+    @staticmethod
+    def coords(point):
+        return {"t": point.t, "x": point.x[0] if point.x else 0.0,
+                "y": point.y[0] if point.y else 0.0, "z": point.z,
+                "w": point.w}
+
+    def __init__(self, params, n, rng, p):
+        pats = hopfield_disorder_sample(params, n, rng, p=p).patterns
+        self.params = params
+        self.n = n
+        self.p = len(pats)
+        self.s = _state_matrix(n)
+        self.jmu = rng.standard_normal(self.p - 1)
+        self.ret = self.s @ pats[0]
+        self.hs = self.s @ rng.standard_normal(n)
+        self.ns = self.s @ pats[1:].T                          # states x (p-1)
+
+    def _parts(self, t, x, y, z, w):
+        beta = self.params.beta
         v = 1.0 - beta * z
         if v <= 0.0:
             raise RangeViolation("hidden-layer variance 1 - beta z must stay positive")
@@ -472,13 +487,13 @@ class _HopRsSample:
                 - 0.5 * (self.p - 1) * math.log(v))
         return a, v, logw
 
-    def value(self, params, t, x, y, z, w):
-        _, _, logw = self._parts(params, t, x, y, z, w)
+    def value(self, t, x, y, z, w):
+        _, _, logw = self._parts(t, x, y, z, w)
         return float(logsumexp(logw)) / self.n
 
-    def brackets(self, params, t, x, y, z, w):
-        beta = params.beta
-        a, v, logw = self._parts(params, t, x, y, z, w)
+    def brackets(self, t, x, y, z, w):
+        beta = self.params.beta
+        a, v, logw = self._parts(t, x, y, z, w)
         p = _softmax(logw)
         n = self.n
         om_i = p @ self.s
@@ -502,11 +517,6 @@ class _HopRsSample:
         }
 
 
-_SK_RS_TARGETS = ("t", "x", "w")
-_SK_1RSB_TARGETS = ("x1", "x2", "w")
-_HOP_RS_TARGETS = ("t", "x", "y", "z", "w")
-
-
 def interpolation_derivative_check(model, target, point, params, n,
                                    samples=1000, seed=0, thetas=(),
                                    inner_samples=256, step=1e-3,
@@ -516,26 +526,41 @@ def interpolation_derivative_check(model, target, point, params, n,
 
     The difference is evaluated per disorder sample and aggregated, so
     the reported stderr reflects exactly the statistical content of the
-    identity being checked.
+    identity being checked.  A target under a square root whose
+    difference stencil would leave the domain raises RangeViolation.
     """
     thetas = tuple(float(v) for v in thetas)
     if model == "sk":
-        if len(thetas) == 0:
-            return _check_sk_rs(target, point, params, n, samples, seed,
-                                step, richardson)
-        if len(thetas) == 1:
-            return _check_sk_1rsb(target, point, params, n, samples, seed,
-                                  thetas[0], inner_samples, step, richardson)
-        raise RangeViolation("pairwise checks support zero or one exponent")
-    if model == "hopfield":
+        if len(thetas) > 1:
+            raise RangeViolation("pairwise checks support zero or one exponent")
+        cls = _Sk1rsbSample if thetas else _SkRsSample
+        extra = (thetas[0], inner_samples) if thetas else ()
+    elif model == "hopfield":
         if thetas:
             raise RangeViolation("pattern checks support the flat level only")
-        return _check_hop_rs(target, point, params, n, samples, seed,
-                             step, richardson, p)
-    raise RangeViolation("model must be 'sk' or 'hopfield', got %r" % model)
-
-
-def _finalize(diffs, fds, brs):
+        cls, extra = _HopRsSample, (p,)
+    else:
+        raise RangeViolation("model must be 'sk' or 'hopfield', got %r" % model)
+    if target not in cls.targets:
+        raise RangeViolation("target must be one of %r" % (cls.targets,))
+    at = cls.coords(point)
+    v0 = at[target]
+    delta = step * max(1.0, abs(v0))
+    if target in cls.roots and v0 - delta < 0.0:
+        raise RangeViolation(
+            "cannot difference %s at %r: step leaves the domain" % (target, v0))
+    fds, brs, diffs = [], [], []
+    for si in range(samples):
+        smp = cls(params, n, substream(seed, cls.key, si), *extra)
+        f = lambda v: smp.value(**{**at, target: v})
+        fd = (f(v0 + delta) - f(v0 - delta)) / (2.0 * delta)
+        if richardson:
+            d2 = (f(v0 + 0.5 * delta) - f(v0 - 0.5 * delta)) / delta
+            fd = (4.0 * d2 - fd) / 3.0
+        br = smp.brackets(**at)[target]
+        fds.append(fd)
+        brs.append(br)
+        diffs.append(fd - br)
     fd = float(np.mean(fds))
     br = float(np.mean(brs))
     est = _mean_se(diffs)
@@ -544,93 +569,3 @@ def _finalize(diffs, fds, brs):
                            abs_diff=abs(est.value),
                            rel_diff=abs(est.value) / denom,
                            stderr=est.stderr)
-
-
-def _fd_delta(step, value):
-    return step * max(1.0, abs(value))
-
-
-def _check_sk_rs(target, point, params, n, samples, seed, step, richardson):
-    if target not in _SK_RS_TARGETS:
-        raise RangeViolation("target must be one of %r" % (_SK_RS_TARGETS,))
-    t0, x0, w0 = point.t, (point.x[0] if point.x else 0.0), point.w
-    for name, val in (("t", t0), ("x", x0)):
-        if target == name and val - _fd_delta(step, val) < 0.0:
-            raise RangeViolation(
-                "cannot difference %s at %r: step leaves the domain" % (name, val))
-    fds, brs, diffs = [], [], []
-    for si in range(samples):
-        smp = _SkRsSample(params, n, substream(seed, 10, si))
-
-        def at(tv=t0, xv=x0, wv=w0):
-            return smp.value(params, tv, xv, wv)
-
-        if target == "t":
-            fd = _richardson(lambda v: at(tv=v), t0, _fd_delta(step, t0), richardson)
-        elif target == "x":
-            fd = _richardson(lambda v: at(xv=v), x0, _fd_delta(step, x0), richardson)
-        else:
-            fd = _richardson(lambda v: at(wv=v), w0, _fd_delta(step, w0), richardson)
-        br = smp.brackets(params, t0, x0, w0)[target]
-        fds.append(fd)
-        brs.append(br)
-        diffs.append(fd - br)
-    return _finalize(diffs, fds, brs)
-
-
-def _check_sk_1rsb(target, point, params, n, samples, seed, theta,
-                   inner, step, richardson):
-    if target not in _SK_1RSB_TARGETS:
-        raise RangeViolation("target must be one of %r" % (_SK_1RSB_TARGETS,))
-    if len(point.x) != 2:
-        raise RangeViolation("one-step checks need two field variances in x")
-    t0, (x1, x2), w0 = point.t, point.x, point.w
-    fds, brs, diffs = [], [], []
-    for si in range(samples):
-        smp = _Sk1rsbSample(params, n, substream(seed, 11, si), inner)
-
-        def at(x1v=x1, x2v=x2, wv=w0):
-            return smp.value(params, theta, t0, x1v, x2v, wv)
-
-        if target == "x1":
-            fd = _richardson(lambda v: at(x1v=v), x1, _fd_delta(step, x1), richardson)
-        elif target == "x2":
-            fd = _richardson(lambda v: at(x2v=v), x2, _fd_delta(step, x2), richardson)
-        else:
-            fd = _richardson(lambda v: at(wv=v), w0, _fd_delta(step, w0), richardson)
-        br = smp.brackets(params, theta, t0, x1, x2, w0)[target]
-        fds.append(fd)
-        brs.append(br)
-        diffs.append(fd - br)
-    return _finalize(diffs, fds, brs)
-
-
-def _check_hop_rs(target, point, params, n, samples, seed, step,
-                  richardson, p):
-    if target not in _HOP_RS_TARGETS:
-        raise RangeViolation("target must be one of %r" % (_HOP_RS_TARGETS,))
-    if p is None:
-        p = max(1, math.ceil(params.alpha * n))
-    t0 = point.t
-    x0 = point.x[0] if point.x else 0.0
-    y0 = point.y[0] if point.y else 0.0
-    z0, w0 = point.z, point.w
-    fds, brs, diffs = [], [], []
-    for si in range(samples):
-        smp = _HopRsSample(params, n, substream(seed, 12, si), p)
-
-        def at(tv=t0, xv=x0, yv=y0, zv=z0, wv=w0):
-            return smp.value(params, tv, xv, yv, zv, wv)
-
-        sel = {"t": (t0, lambda v: at(tv=v)),
-               "x": (x0, lambda v: at(xv=v)),
-               "y": (y0, lambda v: at(yv=v)),
-               "z": (z0, lambda v: at(zv=v)),
-               "w": (w0, lambda v: at(wv=v))}[target]
-        val0, fn = sel
-        fd = _richardson(fn, val0, _fd_delta(step, val0), richardson)
-        br = smp.brackets(params, t0, x0, y0, z0, w0)[target]
-        fds.append(fd)
-        brs.append(br)
-        diffs.append(fd - br)
-    return _finalize(diffs, fds, brs)

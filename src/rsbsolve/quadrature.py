@@ -211,14 +211,40 @@ def plan_moments(plan, offset, coeffs):
     row of field coefficients per lane, and row i of the result is lane
     i's ``[m, q_1, ..., q_{k+1}]``; see ``nested_moments``.
 
-    Lanes never mix: every step is elementwise or a row sum over the
-    last axis, and the outermost level is one vector dot product per
-    lane and output (``np.vecdot`` runs the same dot kernel as ``np.dot``
-    of two vectors; a matrix-vector product would not), so a lane's row
-    is bit for bit what a block of one gives.
+    Returns the block and a dict from row to the ``NonFiniteIntegrand``
+    of each lane whose field or moments are not finite (its row is NaN).
+    Lanes never mix: a lane with a non-finite field stays out of the
+    kernel, every step is elementwise or a row sum over the last axis,
+    and the outermost level is one vector dot product per lane and
+    output (``np.vecdot`` runs the same dot kernel as ``np.dot`` of two
+    vectors; a matrix-vector product would not), so a lane's row is bit
+    for bit what a block of one gives.
     """
-    if not (np.isfinite(offset).all() and np.isfinite(coeffs).all()):
-        raise NonFiniteIntegrand("field offset or coefficients are not finite")
+    if np.isfinite(offset).all() and np.isfinite(coeffs).all():
+        out = _moments(plan, offset, coeffs)
+    else:
+        finite = np.isfinite(offset) & np.isfinite(coeffs).all(axis=1)
+        out = np.full((len(finite), coeffs.shape[1] + 1), np.nan)
+        if finite.any():
+            out[finite] = _moments(plan, offset[finite], coeffs[finite])
+    failed = {}
+    if not np.isfinite(out).all():
+        bad = ~np.isfinite(out).all(axis=1)
+        out[bad] = np.nan
+        failed = {i: NonFiniteIntegrand("field or nested moment is not finite")
+                  for i in np.flatnonzero(bad).tolist()}
+    # the finite outputs are clipped as min(hi, max(lo, v)), plateaus
+    # outermost first and made non-decreasing
+    x = np.empty(out.shape)
+    np.minimum(np.maximum(out[:, 0], -1.0), 1.0, out=x[:, 0])
+    np.maximum.accumulate(np.minimum(np.maximum(out[:, :0:-1], 0.0), 1.0),
+                          axis=1, out=x[:, 1:])
+    return x, failed
+
+
+def _moments(plan, offset, coeffs):
+    """The unclipped ``[m, q_{k+1}, ..., q_1]`` rows of a block of lanes
+    with finite fields."""
     g = _field_tensor(offset, coeffs, plan.nodes)
     # row 0: log kernel; rows 1..: running tanh average, then the
     # plateaus innermost first
@@ -237,16 +263,7 @@ def plan_moments(plan, offset, coeffs):
         np.divide(sums[1:], sums[0], out=nxt[1:-1])
         np.multiply(nxt[1], nxt[1], out=nxt[-1])
         rows = nxt
-    out = np.vecdot(rows[1:], plan.weights[0]).T
-    if not np.isfinite(out).all():
-        raise NonFiniteIntegrand("nested moment is not finite")
-    # the finite outputs are clipped as min(hi, max(lo, v)), plateaus
-    # outermost first and made non-decreasing
-    x = np.empty(out.shape)
-    np.minimum(np.maximum(out[:, 0], -1.0), 1.0, out=x[:, 0])
-    np.maximum.accumulate(np.minimum(np.maximum(out[:, :0:-1], 0.0), 1.0),
-                          axis=1, out=x[:, 1:])
-    return x
+    return np.vecdot(rows[1:], plan.weights[0]).T
 
 
 def nested_log_cosh_expect(offset, coeffs, thetas=(), spec=None):
@@ -276,5 +293,7 @@ def nested_moments(offset, coeffs, thetas=(), spec=None):
     """
     plan = level_plan(thetas, spec)
     offset, coeffs = _check_field(offset, coeffs, len(plan.nodes))
-    x = plan_moments(plan, np.array([offset]), coeffs[None])[0]
-    return float(x[0]), tuple(x[1:].tolist())
+    x, failed = plan_moments(plan, np.array([offset]), coeffs[None])
+    if failed:
+        raise failed[0]
+    return float(x[0, 0]), tuple(x[0, 1:].tolist())

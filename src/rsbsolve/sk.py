@@ -36,9 +36,10 @@ def _field(lanes, x):
 def _sce_step(lanes, plan, x):
     """The self-consistency map on a block of flat vectors of admissible
     points, with per-lane constants from ``_lanes`` and the exponents
-    fixed by ``plan``.  Returns the mapped block and the lanes whose map
-    failed, which for this model is none."""
-    return plan_moments(plan, *_field(lanes, x)), {}
+    fixed by ``plan``.  Returns the mapped block and a dict from row to
+    the ``NonFiniteIntegrand`` of each lane whose field is not finite
+    (its row is NaN)."""
+    return plan_moments(plan, *_field(lanes, x))
 
 
 def _flat(ansatz):
@@ -88,5 +89,8 @@ def sk_sce_krsb(params, ansatz, spec=None):
     The exponents are passed through untouched.
     """
     a = validate_ansatz(ansatz)
-    x, _ = _sce_step(_lanes([params]), level_plan(a.thetas, spec), _flat(a))
+    x, failed = _sce_step(_lanes([params]), level_plan(a.thetas, spec),
+                          _flat(a))
+    if failed:
+        raise failed[0]
     return replace(a, m=x[0, 0], qs=x[0, 1:])

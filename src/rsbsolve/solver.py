@@ -143,10 +143,11 @@ def _iterate(step, x, opts, project=None):
     ``x`` holds one flat start vector per lane and ``step(rows, xs)``
     maps the iterates ``xs`` of the block rows ``rows`` still running,
     returning the mapped rows and a dict from position in ``xs`` to the
-    ``DomainError`` of each lane whose map failed.  Every lane keeps its
-    own damping factor, stall counter and residual history, and leaves
-    the block when it converges, fails or goes non-finite, so each
-    lane's numbers are those of a block of one.  Returns one SolveReport
+    ``DomainError`` or ``NonFiniteIntegrand`` of each lane whose map
+    failed.  Every lane keeps its own damping factor, stall counter and
+    residual history, and leaves the block when it converges, fails or
+    goes non-finite, so each lane's numbers are those of a block of
+    one.  Returns one SolveReport
     per lane; its ``ansatz`` is the last point the map was evaluated at,
     or the next damped step when the iteration cap stops the lane.
     """
@@ -482,8 +483,8 @@ class ThetaExtremum:
     curvature: tuple
 
 
-def golden_section_max(fn, lo, hi, tol=1e-3):
-    """Deterministic golden-section maximizer on [lo, hi]."""
+def golden_section_min(fn, lo, hi, tol=1e-3):
+    """Deterministic golden-section minimizer on [lo, hi]."""
     if not (lo < hi):
         raise BracketViolation("empty bracket [%r, %r]" % (lo, hi))
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -492,7 +493,7 @@ def golden_section_max(fn, lo, hi, tol=1e-3):
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
     while (b - a) > tol:
-        if fc >= fd:
+        if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
             fc = fn(c)
@@ -513,12 +514,11 @@ def extremize_theta(model, params, k, spec=None, options=None, thetas0=None,
     """Coordinate-wise golden-section search over the exponents of the
     solved pressure (the largest pressure over the converged branches).
 
-    For the pairwise model the exponents minimize it: Guerra's
-    broken-replica bound makes the pressure an upper bound for every
-    trial exponent, so the best bound is the lowest.  For the pattern
-    model they maximize it, a convention not yet checked against
-    Steffan & Kuehn (Z. Phys. B 95, 249, 1994).  A point where no start
-    converges counts as the worst value in either direction.
+    The exponents minimize it, for both models: Guerra's broken-replica
+    bound makes the pressure an upper bound for every trial exponent, so
+    the best bound is the lowest.  Maximizing would walk back to the
+    flat branch, where the exponent drops out.  A point where no start
+    converges counts as +inf.
 
     Each exponent moves inside (0.01, 0.99), clipped away from its
     neighbours; an exponent whose pressure profile is flat across its
@@ -539,9 +539,6 @@ def extremize_theta(model, params, k, spec=None, options=None, thetas0=None,
         if not (_THETA_LO < t < _THETA_HI):
             raise BracketViolation(
                 "starting exponent %r outside (%g, %g)" % (t, _THETA_LO, _THETA_HI))
-    # the search maximizes sign * pressure
-    sign = -1.0 if model == "sk" else 1.0
-
     cache = {}
 
     def solved_objective(th_vec):
@@ -550,7 +547,7 @@ def extremize_theta(model, params, k, spec=None, options=None, thetas0=None,
             reports = solve_model(model, params, k, tuple(th_vec), spec, options)
             best = next((r.pressure for r in reports
                          if r.converged and r.pressure is not None), None)
-            cache[key] = -math.inf if best is None else sign * best
+            cache[key] = math.inf if best is None else best
         return cache[key]
 
     sep = 10.0 * tol
@@ -570,21 +567,21 @@ def extremize_theta(model, params, k, spec=None, options=None, thetas0=None,
                 return solved_objective(probe)
 
             probes = [fn(lo), fn(0.5 * (lo + hi)), fn(hi)]
-            finite = [abs(p) for p in probes if p != -math.inf]
+            finite = [abs(p) for p in probes if p != math.inf]
             scale = max([1.0] + finite)
             if max(probes) - min(probes) < _FLAT_EPS * scale:
                 thetas[i] = 0.5 * (lo + hi)
                 degenerate[i] = True
                 curvature[i] = 0.0
                 continue
-            t_star = golden_section_max(fn, lo, hi, tol)
+            t_star = golden_section_min(fn, lo, hi, tol)
             thetas[i] = t_star
             degenerate[i] = False
             h = max(tol, 1e-3)
             f0 = fn(t_star)
             fp = fn(min(hi, t_star + h))
             fm = fn(max(lo, t_star - h))
-            curvature[i] = sign * (fp - 2.0 * f0 + fm) / (h * h)
+            curvature[i] = (fp - 2.0 * f0 + fm) / (h * h)
     reports = solve_model(model, params, k, tuple(thetas), spec, options)
     best = next((r for r in reports if r.converged and r.pressure is not None),
                 reports[0])

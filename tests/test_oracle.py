@@ -210,9 +210,76 @@ def test_pattern_interpolation_identity_statistical():
     assert check.abs_diff <= max(1e-2 * denom, 4.0 * check.stderr)
 
 
+_HOP_EDGE = dict(t=0.5, x=(0.5,), y=(0.6,), z=0.3, w=0.3)
+
+
+@pytest.mark.parametrize("target,edge,thetas", [
+    ("t", dict(_HOP_EDGE, t=0.0), ()),
+    ("x", dict(_HOP_EDGE, x=(0.0,)), ()),
+    ("y", dict(_HOP_EDGE, y=(0.0,)), ()),
+    ("x1", dict(t=0.5, x=(0.0, 0.3), w=0.3), (0.5,)),
+    ("x2", dict(t=0.5, x=(0.4, 0.0), w=0.3), (0.5,)),
+], ids=["hopfield-t", "hopfield-x", "hopfield-y", "1rsb-x1", "1rsb-x2"])
+def test_square_root_target_at_domain_edge(target, edge, thetas):
+    # the difference stencil would reach below zero under a square root
+    model = "sk" if thetas else "hopfield"
+    params = (SkParams(beta=1.0, j0=0.8, j=1.0) if thetas
+              else HopfieldParams(beta=0.6, alpha=0.5))
+    with pytest.raises(RangeViolation, match="leaves the domain"):
+        interpolation_derivative_check(model, target,
+                                       InterpolationPoint(**edge), params,
+                                       n=4, samples=1, thetas=thetas, p=3)
+
+
 def test_substream_reproducible_and_disjoint():
     a = substream(7, 2, 5).random(4)
     b = substream(7, 2, 5).random(4)
     c = substream(7, 2, 6).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# Exact reprs recorded before the three per-model check loops were folded
+# into one driver: every per-sample expression keeps its operation order,
+# so refactors of the oracle must reproduce these bit for bit.
+_GOLDEN_SK = SkParams(beta=1.0, j0=0.8, j=1.0)
+_GOLDEN_HOP = HopfieldParams(beta=0.6, alpha=0.5)
+_GOLDEN_CHECKS = [
+    ("sk", "t", {}, "DerivativeCheck(fd_lhs=0.22274333104863353, bracket_rhs=0.2823734212580397, abs_diff=0.05963009020940623, rel_diff=0.21117458556736757, stderr=0.051951569529563035)"),
+    ("sk", "x", {}, "DerivativeCheck(fd_lhs=0.3434500882224461, bracket_rhs=0.31276727775890706, abs_diff=0.030682810463539063, rel_diff=0.08933702891835156, stderr=0.20739574612522982)"),
+    ("sk", "w", {}, "DerivativeCheck(fd_lhs=0.29815722947645273, bracket_rhs=0.29815722947635065, abs_diff=1.0209425897282169e-13, rel_diff=3.4241751961571903e-13, stderr=1.190483762954743e-13)"),
+    ("sk", "x1", {"thetas": (0.5,)}, "DerivativeCheck(fd_lhs=0.16507394511337967, bracket_rhs=0.37786269129726074, abs_diff=0.2127887461838811, rel_diff=0.5631377510527558, stderr=0.078902703436109)"),
+    ("sk", "x2", {"thetas": (0.5,)}, "DerivativeCheck(fd_lhs=0.4404016091390948, bracket_rhs=0.4152775871930907, abs_diff=0.025124021946004122, rel_diff=0.0570479794456633, stderr=0.013023772679538458)"),
+    ("sk", "w", {"thetas": (0.5,)}, "DerivativeCheck(fd_lhs=0.12476033006510641, bracket_rhs=0.12476033006477884, abs_diff=3.2756436452174853e-13, rel_diff=2.625549037509026e-12, stderr=1.255923980813261e-13)"),
+    ("hopfield", "t", {}, "DerivativeCheck(fd_lhs=0.18036156935106554, bracket_rhs=0.19459061194362817, abs_diff=0.014229042592562649, rel_diff=0.07312296544236535, stderr=0.02514524076436676)"),
+    ("hopfield", "x", {}, "DerivativeCheck(fd_lhs=0.12351087859404271, bracket_rhs=0.15318006531622577, abs_diff=0.02966918672218304, rel_diff=0.19368830180959778, stderr=0.019156642258332527)"),
+    ("hopfield", "y", {}, "DerivativeCheck(fd_lhs=0.03573436993449376, bracket_rhs=0.10730313298581111, abs_diff=0.07156876305131733, rel_diff=0.6669773850944408, stderr=0.017618742756469703)"),
+    ("hopfield", "z", {}, "DerivativeCheck(fd_lhs=0.19801991426267782, bracket_rhs=0.19801991426262058, abs_diff=5.721349320234974e-14, rel_diff=2.889279768420401e-13, stderr=9.076250103900983e-14)"),
+    ("hopfield", "w", {}, "DerivativeCheck(fd_lhs=0.14014661093388522, bracket_rhs=0.14014661093379455, abs_diff=9.066358774845185e-14, rel_diff=6.469195875968973e-13, stderr=5.536109664724541e-14)"),
+]
+
+
+@pytest.mark.parametrize("model,target,extra,expected", _GOLDEN_CHECKS,
+                         ids=["%s-%s%s" % (m, t, "-1rsb" if e else "")
+                              for m, t, e, _ in _GOLDEN_CHECKS])
+def test_interpolation_check_golden(model, target, extra, expected):
+    if model == "hopfield":
+        params, kw = _GOLDEN_HOP, {"p": 3}
+        pt = InterpolationPoint(t=0.5, x=(0.5,), y=(0.6,), z=0.3, w=0.3)
+    elif extra:
+        params, kw = _GOLDEN_SK, dict(extra, inner_samples=16)
+        pt = InterpolationPoint(t=0.5, x=(0.4, 0.3), w=0.3)
+    else:
+        params, kw = _GOLDEN_SK, {}
+        pt = InterpolationPoint(t=0.5, x=(0.4,), w=0.3)
+    check = interpolation_derivative_check(model, target, pt, params, n=5,
+                                           samples=3, seed=0, **kw)
+    assert repr(check) == expected
+
+
+def test_enumeration_golden():
+    assert repr(enumerate_sk_pressure(_GOLDEN_SK, 5, samples=3, seed=0)) == \
+        "Estimate(value=0.8849603458887225, stderr=0.05301551367365933)"
+    assert repr(enumerate_hopfield_pressure(_GOLDEN_HOP, 5, samples=3,
+                                            seed=0)) == \
+        "Estimate(value=0.9972428728911017, stderr=0.07862755975073568)"

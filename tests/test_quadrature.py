@@ -68,6 +68,8 @@ def test_nonfinite_integrand_raises():
         gauss_expect(lambda h: np.where(h > 0, np.inf, 1.0))
     with pytest.raises(NonFiniteIntegrand):
         gauss_expect(lambda h: np.full_like(h, np.nan))
+    with pytest.raises(NonFiniteIntegrand):
+        nested_moments(math.inf, [0.5])
 
 
 def test_zero_field_gives_log_two():

@@ -15,6 +15,7 @@ from rsbsolve import (
     sk_pressure_rs,
     sk_sce_krsb,
     sk_sce_rs,
+    solve_model,
 )
 
 GRID = np.linspace(-10.0, 10.0, 100001)
@@ -144,3 +145,23 @@ def test_flat_map_stays_in_box(q):
     assert 0.0 <= q1 <= 1.0
     # the squared average never exceeds the average of squares
     assert m1 * m1 <= q1 + 1e-12
+
+
+# Open accuracy defects of the fixed-node-count grid, expected to pass once
+# the field is integrated on a grid fitted to it.
+
+@pytest.mark.xfail(strict=True, reason="80 nodes leave 6.8e-5 of stationarity")
+def test_deep_glass_branch_is_stationary():
+    reports = solve_model("sk", SkParams(beta=2.5, j0=0.0, j=1.0), 0)
+    assert reports[0].converged
+    assert reports[0].stationarity <= 1e-5
+
+
+@pytest.mark.xfail(strict=True, reason="16 nodes at k=4 miss the flat value "
+                   "by 2.7e-6")
+def test_flat_plateaus_at_depth_four_match_flat_pressure():
+    params = SkParams(beta=1.1, j0=0.3, j=0.9)
+    deep = sk_pressure_krsb(params, RsbAnsatz(k=4, m=0.3, qs=(0.9,) * 5,
+                                              thetas=(0.2, 0.4, 0.6, 0.8)))
+    assert abs(deep.pressure - sk_pressure_rs(params, 0.3, 0.9).pressure) \
+        <= 1e-9

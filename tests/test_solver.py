@@ -20,7 +20,7 @@ from rsbsolve import (
     damped_fixed_point,
     default_starts,
     extremize_theta,
-    golden_section_max,
+    golden_section_min,
     hop_sce_krsb,
     isotonic_nondecreasing,
     sk_pressure_rs,
@@ -104,13 +104,13 @@ def test_isotonic_projection_random(y):
 
 
 def test_golden_section_quadratic():
-    got = golden_section_max(lambda t: -(t - 0.3) ** 2, 0.01, 0.99)
+    got = golden_section_min(lambda t: (t - 0.3) ** 2, 0.01, 0.99)
     assert got == pytest.approx(0.3, abs=1e-3)
 
 
 def test_golden_section_empty_bracket():
     with pytest.raises(BracketViolation):
-        golden_section_max(lambda t: t, 0.9, 0.2)
+        golden_section_min(lambda t: t, 0.9, 0.2)
 
 
 def test_exponent_search_flat_profile_parks_midway():
@@ -145,6 +145,20 @@ def test_exponent_search_minimizes_pairwise_pressure():
     assert 0.05 < ext.thetas[0] < 0.9
     assert ext.pressure <= flat - 5e-5
     assert ext.curvature[0] > 0.0
+
+
+def test_exponent_search_minimizes_pattern_pressure():
+    # on 40 nodes the solved pressure rises from 1.056895 at theta=0.07
+    # through 1.057093 at 0.3 and 1.057270 at 0.9 towards the flat value
+    # 1.057282, so a maximizer would walk back to the flat collapse
+    spec = QuadratureSpec(nodes_per_level=40)
+    params = HopfieldParams(beta=1.6, alpha=0.08)
+    ext = extremize_theta("hopfield", params, 1, spec=spec, sweeps=1,
+                          tol=1e-2)
+    flat = max(r.pressure for r in solve_model("hopfield", params, 0,
+                                               spec=spec) if r.converged)
+    assert 0.03 < ext.thetas[0] < 0.2
+    assert ext.pressure <= flat - 1e-4
 
 
 def test_stationarity_analytic_quadratic():
@@ -325,13 +339,23 @@ def test_grid_blocks_respect_tensor_budget(monkeypatch):
 
 
 def test_grid_propagates_non_finite_field():
-    # beta * j overflows, so the first block map application cannot
-    # integrate; the error stops the whole grid as it stops one solve
-    points = [SkParams(beta=1.0), SkParams(beta=1e308, j=10.0)]
-    with pytest.raises(NonFiniteIntegrand):
-        solve_grid("sk", points)
-    with pytest.raises(NonFiniteIntegrand):
-        solve_model("sk", points[1])
+    # each bad point's field coefficient overflows, so its lanes cannot
+    # integrate: they fail alone, and the good point's reports are bit
+    # for bit those of a solve without it
+    for model, sce, good, bad in (
+            ("sk", sk_sce_krsb, SkParams(beta=1.0),
+             SkParams(beta=1e308, j=10.0)),
+            ("hopfield", hop_sce_krsb, HopfieldParams(beta=1.2, alpha=0.05),
+             HopfieldParams(beta=1e308, alpha=10.0))):
+        got = solve_grid(model, [good, bad])
+        assert list(map(repr, got[0])) == \
+            list(map(repr, solve_model(model, good)))
+        assert got[1] and all(
+            not r.converged and r.pressure is None
+            and r.error.startswith("NonFiniteIntegrand: ") for r in got[1])
+        # a single map application still raises
+        with pytest.raises(NonFiniteIntegrand):
+            sce(bad, RsbAnsatz(k=0, m=0.5, qs=(1.0,)))
 
 
 def test_grid_of_no_points_is_empty():
