@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import HopfieldParams, RangeViolation, SkParams
 
@@ -65,6 +64,7 @@ def sk_disorder_sample(params, n, rng):
 def hopfield_disorder_sample(params, n, rng, p=None, boolean_patterns=False):
     if p is None:
         p = max(1, math.ceil(params.alpha * n))
+    _at_least_one(p=p)
     pats = np.empty((p, n))
     pats[0] = rng.integers(0, 2, size=n) * 2.0 - 1.0
     if p > 1:
@@ -85,6 +85,37 @@ def _state_matrix(n):
     return s
 
 
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) along ``axis`` for real, non-empty ``a``, bit for
+    bit as scipy.special.logsumexp (scipy 1.17) computes it, without its
+    array-API dispatch.
+
+    The maximal elements are left out of the shifted sum s, and the
+    result is log1p(s/m) + log m + max, m being their count.  Zeroing
+    their exps, rather than masking them to -inf before the shift, gives
+    an all -inf slice -inf, a +inf entry +inf and a NaN entry NaN
+    directly, where scipy falls back to log(sum(exp(a)))."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    a_max = np.max(a, axis=axis, keepdims=True)
+    is_max = a == a_max
+    m = np.count_nonzero(is_max, axis=axis, keepdims=True).astype(float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.exp(a - a_max)
+        np.copyto(e, 0.0, where=is_max)
+        s = np.sum(e, axis=axis, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + a_max
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
+def _at_least_one(**counts):
+    for name, count in counts.items():
+        if count < 1:
+            raise RangeViolation("%s must be at least 1, got %r"
+                                 % (name, count))
+
+
 def _mean_se(values):
     values = np.asarray(values, dtype=float)
     mean = float(values.mean())
@@ -97,6 +128,32 @@ def _mean_se(values):
 # ---------------------------------------------------------------------------
 # exact enumeration (Gray-code walk, incremental energies)
 
+_GRAY_CHUNK = 4096
+
+
+def _gray_steps(n):
+    """Gray walk from the all -1 state over every state of n spins, in
+    chunks of at most ``_GRAY_CHUNK`` steps: per chunk, the slice of its
+    steps, the site each step flips and 2 sigma_b, twice its spin before
+    the flip.  Step i flips site b = ctz(i), which has flipped
+    i >> (b + 1) times before."""
+    for lo in range(1, 2 ** n, _GRAY_CHUNK):
+        i = np.arange(lo, min(lo + _GRAY_CHUNK, 2 ** n))
+        b = np.bitwise_count((i & -i) - 1)
+        yield slice(lo, lo + len(i)), b, 4.0 * ((i >> (b + 1)) & 1) - 2.0
+
+
+def _walk(start, rows, twice_spin):
+    """States after each step of a chunk: the sequential sums
+    start - (2 sigma_b) rows[b] of the incremental loop, by a cumulative
+    sum down the chunk (x - y is x + (-y) bit for bit).  Row 0 is
+    ``start``."""
+    acc = np.empty((len(rows) + 1, len(start)))
+    acc[0] = start
+    np.multiply(-twice_spin[:, None], rows, out=acc[1:])
+    return np.cumsum(acc, axis=0, out=acc)
+
+
 def _gray_energies_sk(j):
     n = j.shape[0]
     sigma = -np.ones(n)
@@ -104,12 +161,16 @@ def _gray_energies_sk(j):
     e = -0.5 * float(sigma @ phi)
     out = np.empty(2 ** n)
     out[0] = e
-    for i in range(1, 2 ** n):
-        b = (i & -i).bit_length() - 1
-        e += 2.0 * sigma[b] * phi[b]
-        phi -= 2.0 * sigma[b] * j[:, b]
-        sigma[b] = -sigma[b]
-        out[i] = e
+    cols = np.ascontiguousarray(j.T)
+    for steps, b, ts in _gray_steps(n):
+        acc = _walk(phi, cols[b], ts)
+        # energy step (2 sigma_b) phi_b, with phi before the flip
+        de = np.empty(len(b) + 1)
+        de[0] = e
+        np.multiply(ts, acc[np.arange(len(b)), b], out=de[1:])
+        np.cumsum(de, out=de)
+        out[steps] = de[1:]
+        phi, e = acc[-1].copy(), de[-1]
     return out
 
 
@@ -119,17 +180,18 @@ def _gray_energies_hopfield(patterns):
     o = patterns @ sigma
     out = np.empty(2 ** n)
     out[0] = -float(o @ o) / (2.0 * n)
-    for i in range(1, 2 ** n):
-        b = (i & -i).bit_length() - 1
-        o -= 2.0 * sigma[b] * patterns[:, b]
-        sigma[b] = -sigma[b]
-        out[i] = -float(o @ o) / (2.0 * n)
+    cols = np.ascontiguousarray(patterns.T)
+    for steps, b, ts in _gray_steps(n):
+        acc = _walk(o, cols[b], ts)[1:]
+        out[steps] = -np.vecdot(acc, acc) / (2.0 * n)
+        o = acc[-1].copy()
     return out
 
 
 def _quenched(beta, n, samples, energies):
     """Quenched pressure: the mean over samples s of log Z / n, with Z
     summed over ``energies(s)``, the energy of every state of sample s."""
+    _at_least_one(samples=samples)
     return _mean_se([float(logsumexp(-beta * energies(s))) / n
                      for s in range(samples)])
 
@@ -160,25 +222,38 @@ def enumerate_hopfield_pressure(params, n, samples=1, seed=0, p=None,
 # ---------------------------------------------------------------------------
 # Metropolis sampling
 
+# Both chains flip on Python lists and update the local fields in place.
+# The update x - (2 sigma_b) c_b is x - 2c_b or x + 2c_b with the doubled
+# column 2c_b precomputed: the same subtraction bit for bit, in one numpy
+# call.
+
 def _hop_chain(patterns, beta, n, sweeps, rng, sigma):
     o = patterns @ sigma
-    colsq = (patterns ** 2).sum(axis=0)
+    colsq = (patterns ** 2).sum(axis=0).tolist()
+    # the strided columns keep the overlap dot product's BLAS summation
+    # order; the doubled copies only feed the elementwise update
+    cols = list(patterns.T)
+    twice = list(2.0 * np.ascontiguousarray(patterns.T))
+    spins = sigma.tolist()
     m_trace = np.empty(sweeps)
     e_trace = np.empty(sweeps)
     for t in range(sweeps):
         # random site choices keep the chain mixing even when every
         # proposal is accepted (deterministic sweeps lock up at beta=0)
-        sites = rng.integers(0, n, size=n)
-        u = rng.random(n)
-        for k in range(n):
-            b = sites[k]
-            col = patterns[:, b]
-            dh = (2.0 / n) * (sigma[b] * float(col @ o) - colsq[b])
-            if dh <= 0.0 or u[k] < math.exp(-beta * dh):
-                o -= 2.0 * sigma[b] * col
-                sigma[b] = -sigma[b]
+        sites = rng.integers(0, n, size=n).tolist()
+        u = rng.random(n).tolist()
+        for b, uk in zip(sites, u):
+            sb = spins[b]
+            dh = (2.0 / n) * (sb * float(cols[b] @ o) - colsq[b])
+            if dh <= 0.0 or uk < math.exp(-beta * dh):
+                if sb > 0.0:
+                    o -= twice[b]
+                else:
+                    o += twice[b]
+                spins[b] = -sb
         m_trace[t] = o[0] / n
         e_trace[t] = -float(o @ o) / (2.0 * n * n)
+    sigma[:] = spins
     return m_trace, e_trace
 
 
@@ -189,22 +264,30 @@ def _sk_chain(j, beta, n, sweeps, rng, sigma, record=None):
     each of the last r sweeps."""
     phi = j @ sigma
     energy = -0.5 * float(sigma @ phi)
+    twice = list(2.0 * np.ascontiguousarray(j.T))
+    spins = sigma.tolist()
+    total = sum(spins)          # integer-valued, so every sum is exact
     m_trace = np.empty(sweeps)
     e_trace = np.empty(sweeps)
     for t in range(sweeps):
-        sites = rng.integers(0, n, size=n)
-        u = rng.random(n)
-        for k in range(n):
-            b = sites[k]
-            dh = 2.0 * sigma[b] * phi[b]
-            if dh <= 0.0 or u[k] < math.exp(-beta * dh):
+        sites = rng.integers(0, n, size=n).tolist()
+        u = rng.random(n).tolist()
+        for b, uk in zip(sites, u):
+            sb = spins[b]
+            dh = 2.0 * sb * phi[b]
+            if dh <= 0.0 or uk < math.exp(-beta * dh):
                 energy += dh
-                phi -= 2.0 * sigma[b] * j[:, b]
-                sigma[b] = -sigma[b]
-        m_trace[t] = sigma.mean()
+                if sb > 0.0:
+                    phi -= twice[b]
+                else:
+                    phi += twice[b]
+                spins[b] = -sb
+                total -= 2.0 * sb
+        m_trace[t] = total / n
         e_trace[t] = energy / n
         if record is not None and t >= sweeps - len(record):
-            record[t - sweeps + len(record)] = sigma
+            record[t - sweeps + len(record)] = spins
+    sigma[:] = spins
     return m_trace, e_trace
 
 
@@ -234,9 +317,11 @@ def metropolis_run(params, n, sweeps, seed=0, p=None, boolean_patterns=False,
     it starts at random and reports the plain magnetization.  Errors are
     batch-mean standard errors over the measurement window.
     """
+    _at_least_one(n=n)
     burn = sweeps // 2 if burn_in is None else burn_in
-    if burn >= sweeps:
-        raise RangeViolation("burn_in must leave measurement sweeps")
+    if not 0 <= burn < sweeps:
+        raise RangeViolation("burn_in must lie in [0, sweeps) to leave "
+                             "measurement sweeps")
     if isinstance(params, HopfieldParams):
         sample = hopfield_disorder_sample(params, n, substream(seed, 2, 0),
                                           p=p, boolean_patterns=boolean_patterns)
@@ -258,8 +343,8 @@ def metropolis_state_trace(params, n, sweeps, seed=0, couplings=None):
     """Per-sweep configuration indices of a pairwise-coupling chain
     (small n only); used for occupancy checks against the exact
     Boltzmann weights."""
-    if n > 16:
-        raise RangeViolation("state traces are limited to n <= 16")
+    if not 1 <= n <= 16:
+        raise RangeViolation("state traces need n in [1, 16]")
     if couplings is None:
         couplings = sk_disorder_sample(params, n, substream(seed, 3, 0)).matrix
     sigma = (substream(seed, 3, 1).integers(0, 2, size=n) * 2.0 - 1.0)
@@ -296,6 +381,7 @@ def overlap_histogram(params, n, sweeps, seed=0, disorder_samples=2, bins=41):
     """Histogram of the overlap between two independent replicas sharing
     each coupling sample.  Both chains start fully aligned, so a strong
     ferromagnet concentrates in the top bin."""
+    _at_least_one(n=n, sweeps=sweeps, disorder_samples=disorder_samples)
     qs = []
     burn = sweeps // 2
     for d in range(disorder_samples):
@@ -343,15 +429,33 @@ class DerivativeCheck:
 
 
 def _softmax(logw):
-    mx = logw.max()
+    mx = logw.max(axis=-1, keepdims=True)
     w = np.exp(logw - mx)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
-# A sample class is one disorder sample of one interpolating pressure: its
+def _vecmat(v, m):
+    """Per sample, vector v times matrix m as the (1, k) @ (k, j) product
+    numpy makes of a 1-D v @ m: the same BLAS call per sample."""
+    return (v[..., None, :] @ m)[..., 0, :]
+
+
+# Floats in the largest array of a block of samples, (samples, 2^n,
+# width): 256 kB.  The one-step class at n=6 with 256 inner draws (2^14
+# floats a sample) ran slower in blocks of three or more samples.
+_BLOCK_FLOATS = 2 ** 15
+
+
+# A sample class holds a block of disorder samples of one interpolating
+# pressure, each drawn from its own generator in ``rngs`` exactly as a
+# lone sample would be.  ``value`` and ``brackets`` return one entry per
+# sample (axis 0), and every per-sample reduction keeps its order: a
+# row-wise sum is the sum of that row, and _vecmat / np.vecdot make the
+# same BLAS call per sample as a 1-D product.  The class declares its
 # substream ``key``, its ``targets``, the ``roots`` among them under a
-# square root, and ``coords`` of a point, the keywords of ``value`` and
-# ``brackets``.
+# square root, ``coords`` of a point (the keywords of ``value`` and
+# ``brackets``) and the ``width`` of its largest per-sample array in
+# floats per state.
 
 class _SkRsSample:
     """Flat-level pairwise model."""
@@ -362,17 +466,28 @@ class _SkRsSample:
 
     @staticmethod
     def coords(point):
+        if len(point.x) > 1:
+            raise RangeViolation(
+                "flat checks take at most one field variance in x")
         return {"t": point.t, "x": point.x[0] if point.x else 0.0,
                 "w": point.w}
 
-    def __init__(self, params, n, rng):
+    @staticmethod
+    def width(n):
+        return n
+
+    def __init__(self, params, n, rngs):
         self.params = params
         self.n = n
         self.s = _state_matrix(n)
-        z = rng.standard_normal((n, n))
-        self.b2 = (params.j * math.sqrt(2.0) / (2.0 * math.sqrt(n))) * \
-            np.einsum("si,ij,sj->s", self.s, z, self.s)
-        self.hs = self.s @ rng.standard_normal(n)
+        scale = params.j * math.sqrt(2.0) / (2.0 * math.sqrt(n))
+        b2, hs = [], []
+        for rng in rngs:
+            z = rng.standard_normal((n, n))
+            b2.append(scale * np.einsum("si,ij,sj->s", self.s, z, self.s))
+            hs.append(self.s @ rng.standard_normal(n))
+        self.b2 = np.stack(b2)                         # samples x states
+        self.hs = np.stack(hs)
         self.msum = self.s.sum(axis=1)
 
     def logw(self, t, x, w):
@@ -383,17 +498,17 @@ class _SkRsSample:
                        + w * j0 * self.msum)
 
     def value(self, t, x, w):
-        return float(logsumexp(self.logw(t, x, w))) / self.n
+        return logsumexp(self.logw(t, x, w), axis=-1) / self.n
 
     def brackets(self, t, x, w):
         beta, j0, j = self.params.beta, self.params.j0, self.params.j
         p = _softmax(self.logw(t, x, w))
-        om_i = p @ self.s
-        om_ij = self.s.T @ (p[:, None] * self.s)
-        q2 = float((om_ij ** 2).mean())
-        m2 = float(om_ij.mean())
-        q1 = float((om_i ** 2).mean())
-        m1 = float(om_i.mean())
+        om_i = _vecmat(p, self.s)                      # samples x sites
+        om_ij = self.s.T @ (p[:, :, None] * self.s)    # samples x sites^2
+        q2 = (om_ij ** 2).mean(axis=(1, 2))
+        m2 = om_ij.mean(axis=(1, 2))
+        q1 = (om_i ** 2).mean(axis=1)
+        m1 = om_i.mean(axis=1)
         return {
             "t": 0.25 * beta ** 2 * j ** 2 * (1.0 - q2) + 0.5 * beta * j0 * m2,
             "x": 0.5 * beta ** 2 * (1.0 - q1),
@@ -416,31 +531,37 @@ class _Sk1rsbSample(_SkRsSample):
             raise RangeViolation("one-step checks need two field variances in x")
         return {"t": point.t, "x1": point.x[0], "x2": point.x[1], "w": point.w}
 
-    def __init__(self, params, n, rng, theta, inner):
-        super().__init__(params, n, rng)
+    @staticmethod
+    def width(n, theta, inner):
+        return max(n, inner)
+
+    def __init__(self, params, n, rngs, theta, inner):
+        super().__init__(params, n, rngs)
         self.theta = theta
-        self.h2s = self.s @ rng.standard_normal((n, inner))   # states x inner
+        self.h2s = np.stack([self.s @ rng.standard_normal((n, inner))
+                             for rng in rngs])     # samples x states x inner
 
     def _log_inner(self, t, x1, x2, w):
-        logw = (self.logw(t, x1, w)[:, None]
+        logw = (self.logw(t, x1, w)[:, :, None]
                 + self.params.beta * math.sqrt(x2) * self.h2s)
-        return logw, logsumexp(logw, axis=0)                  # per inner draw
+        return logw, logsumexp(logw, axis=1)                  # per inner draw
 
     def value(self, t, x1, x2, w):
         _, logz2 = self._log_inner(t, x1, x2, w)
-        inner, theta = logz2.size, self.theta
-        return float(logsumexp(theta * logz2) - math.log(inner)) / theta / self.n
+        inner, theta = logz2.shape[1], self.theta
+        return ((logsumexp(theta * logz2, axis=-1) - math.log(inner))
+                / theta / self.n)
 
     def brackets(self, t, x1, x2, w):
         beta, j0, theta = self.params.beta, self.params.j0, self.theta
         logw, logz2 = self._log_inner(t, x1, x2, w)
-        pk = np.exp(logw - logz2[None, :])                     # states x inner
-        om = pk.T @ self.s                                     # inner x sites
+        pk = np.exp(logw - logz2[:, None, :])     # samples x states x inner
+        om = pk.mT @ self.s                       # samples x inner x sites
         wk = _softmax(theta * logz2)
-        q2 = float(wk @ (om ** 2).mean(axis=1))
-        mbar = wk @ om                                          # sites
-        q1 = float((mbar ** 2).mean())
-        m1 = float(mbar.mean())
+        q2 = np.vecdot(wk, (om ** 2).mean(axis=2))
+        mbar = _vecmat(wk, om)                    # samples x sites
+        q1 = (mbar ** 2).mean(axis=1)
+        m1 = mbar.mean(axis=1)
         return {
             "x1": 0.5 * beta ** 2 * (1.0 - (1.0 - theta) * q2 - theta * q1),
             "x2": 0.5 * beta ** 2 * (1.0 - (1.0 - theta) * q2),
@@ -457,21 +578,34 @@ class _HopRsSample:
     roots = ("t", "x", "y")
 
     @staticmethod
+    def width(n, p):
+        return n
+
+    @staticmethod
     def coords(point):
+        if len(point.x) > 1 or len(point.y) > 1:
+            raise RangeViolation(
+                "flat checks take at most one field variance in x and in y")
         return {"t": point.t, "x": point.x[0] if point.x else 0.0,
                 "y": point.y[0] if point.y else 0.0, "z": point.z,
                 "w": point.w}
 
-    def __init__(self, params, n, rng, p):
-        pats = hopfield_disorder_sample(params, n, rng, p=p).patterns
+    def __init__(self, params, n, rngs, p):
         self.params = params
         self.n = n
-        self.p = len(pats)
         self.s = _state_matrix(n)
-        self.jmu = rng.standard_normal(self.p - 1)
-        self.ret = self.s @ pats[0]
-        self.hs = self.s @ rng.standard_normal(n)
-        self.ns = self.s @ pats[1:].T                          # states x (p-1)
+        jmu, ret, hs, ns = [], [], [], []
+        for rng in rngs:
+            pats = hopfield_disorder_sample(params, n, rng, p=p).patterns
+            jmu.append(rng.standard_normal(len(pats) - 1))
+            ret.append(self.s @ pats[0])
+            hs.append(self.s @ rng.standard_normal(n))
+            ns.append(self.s @ pats[1:].T)
+        self.p = len(pats)
+        self.jmu = np.stack(jmu)               # samples x (p-1)
+        self.ret = np.stack(ret)               # samples x states
+        self.hs = np.stack(hs)
+        self.ns = np.stack(ns)                 # samples x states x (p-1)
 
     def _parts(self, t, x, y, z, w):
         beta = self.params.beta
@@ -479,38 +613,38 @@ class _HopRsSample:
         if v <= 0.0:
             raise RangeViolation("hidden-layer variance 1 - beta z must stay positive")
         a = beta * (math.sqrt(t / self.n) * self.ns
-                    + math.sqrt(y) * self.jmu[None, :])
+                    + math.sqrt(y) * self.jmu[:, None, :])
         logw = (beta * (0.5 * t * self.ret ** 2 / self.n
                         + w * self.ret
                         + math.sqrt(x) * self.hs)
-                + (a ** 2).sum(axis=1) / (2.0 * v)
+                + (a ** 2).sum(axis=2) / (2.0 * v)
                 - 0.5 * (self.p - 1) * math.log(v))
         return a, v, logw
 
     def value(self, t, x, y, z, w):
         _, _, logw = self._parts(t, x, y, z, w)
-        return float(logsumexp(logw)) / self.n
+        return logsumexp(logw, axis=-1) / self.n
 
     def brackets(self, t, x, y, z, w):
         beta = self.params.beta
         a, v, logw = self._parts(t, x, y, z, w)
         p = _softmax(logw)
         n = self.n
-        om_i = p @ self.s
-        om_ret = float(p @ self.ret)
-        om_ret2 = float(p @ self.ret ** 2)
-        om_a = p @ a                                           # per hidden unit
-        om_a2 = p @ (a ** 2)
-        w_mat = self.s.T @ (p[:, None] * a)                    # sites x hidden
+        om_i = _vecmat(p, self.s)
+        om_ret = np.vecdot(p, self.ret)
+        om_ret2 = np.vecdot(p, self.ret ** 2)
+        om_a = _vecmat(p, a)                   # per hidden unit
+        om_a2 = _vecmat(p, a ** 2)
+        w_mat = self.s.T @ (p[:, :, None] * a)  # samples x sites x hidden
         n_hidden = self.p - 1
-        p11 = n_hidden / v + float(om_a2.sum()) / v ** 2
-        p12 = n_hidden / v + float((om_a2 - om_a ** 2).sum()) / v ** 2
-        pq12 = float((w_mat ** 2).sum()) / v ** 2
+        p11 = n_hidden / v + om_a2.sum(axis=1) / v ** 2
+        p12 = n_hidden / v + (om_a2 - om_a ** 2).sum(axis=1) / v ** 2
+        pq12 = (w_mat ** 2).sum(axis=(1, 2)) / v ** 2
         return {
             "t": (0.5 * beta * om_ret2 / n ** 2
                   + 0.5 * beta ** 2 * p11 / n
                   - 0.5 * beta ** 2 * pq12 / n ** 2),
-            "x": 0.5 * beta ** 2 * (1.0 - float((om_i ** 2).mean())),
+            "x": 0.5 * beta ** 2 * (1.0 - (om_i ** 2).mean(axis=1)),
             "y": 0.5 * beta ** 2 * p12 / n,
             "z": 0.5 * beta * p11 / n,
             "w": beta * om_ret / n,
@@ -529,6 +663,7 @@ def interpolation_derivative_check(model, target, point, params, n,
     identity being checked.  A target under a square root whose
     difference stencil would leave the domain raises RangeViolation.
     """
+    _at_least_one(n=n, samples=samples)
     thetas = tuple(float(v) for v in thetas)
     if model == "sk":
         if len(thetas) > 1:
@@ -549,21 +684,23 @@ def interpolation_derivative_check(model, target, point, params, n,
     if target in cls.roots and v0 - delta < 0.0:
         raise RangeViolation(
             "cannot difference %s at %r: step leaves the domain" % (target, v0))
-    fds, brs, diffs = [], [], []
-    for si in range(samples):
-        smp = cls(params, n, substream(seed, cls.key, si), *extra)
+    size = max(1, _BLOCK_FLOATS // (2 ** n * cls.width(n, *extra)))
+    fds, brs = [], []
+    for lo in range(0, samples, size):
+        rngs = [substream(seed, cls.key, si)
+                for si in range(lo, min(lo + size, samples))]
+        smp = cls(params, n, rngs, *extra)
         f = lambda v: smp.value(**{**at, target: v})
         fd = (f(v0 + delta) - f(v0 - delta)) / (2.0 * delta)
         if richardson:
             d2 = (f(v0 + 0.5 * delta) - f(v0 - 0.5 * delta)) / delta
             fd = (4.0 * d2 - fd) / 3.0
-        br = smp.brackets(**at)[target]
         fds.append(fd)
-        brs.append(br)
-        diffs.append(fd - br)
+        brs.append(smp.brackets(**at)[target])
+    fds, brs = np.concatenate(fds), np.concatenate(brs)
     fd = float(np.mean(fds))
     br = float(np.mean(brs))
-    est = _mean_se(diffs)
+    est = _mean_se(fds - brs)
     denom = max(abs(fd), abs(br), 1e-300)
     return DerivativeCheck(fd_lhs=fd, bracket_rhs=br,
                            abs_diff=abs(est.value),

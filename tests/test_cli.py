@@ -192,3 +192,44 @@ def test_verify_stationarity_floors_nodes(runner):
                      env={"RSB_NODES": None})
     assert coarse.exit_code == 0
     assert coarse.stdout_bytes == default.stdout_bytes
+
+
+# stdout bytes of the finite-size suites at small sizes, recorded before
+# the oracle's loops were vectorized; the oracles must not move a digit
+_SUITE_BYTES = [
+    (["--suite", "enumeration", "--n", "6", "--samples", "10", "--seed", "1"],
+     b"check                             measured         bound status\n"
+     b"pairwise_high_t_band          1.094316e-03  2.702971e-02 PASS\n"
+     b"pattern_single_recall_band    3.053265e-03  3.000000e-02 PASS\n"
+     b"2/2 checks passed\n"),
+    (["--suite", "lemmas", "--n", "4", "--samples", "12", "--seed", "2"],
+     b"check                             measured         bound status\n"
+     b"flat_t_identity               3.976986e-02  2.120636e-01 PASS\n"
+     b"flat_x_identity               2.370442e-02  3.155171e-01 PASS\n"
+     b"flat_w_identity               1.972149e-14  1.000000e-08 PASS\n"
+     b"flat_w_decoupled              4.471423e-14  1.000000e-10 PASS\n"
+     b"onestep_x1_identity           8.017996e-02  4.254942e-01 PASS\n"
+     b"onestep_x2_identity           2.766230e-03  3.624349e-02 PASS\n"
+     b"onestep_w_identity            2.295502e-14  1.000000e-08 PASS\n"
+     b"pattern_t_identity            2.032318e-02  9.657406e-02 PASS\n"
+     b"pattern_x_identity            4.183823e-02  5.279109e-02 PASS\n"
+     b"pattern_y_identity            4.998004e-02  8.649832e-02 PASS\n"
+     b"pattern_z_identity            2.747339e-14  1.000000e-08 PASS\n"
+     b"pattern_w_identity            3.581626e-15  1.000000e-08 PASS\n"
+     b"12/12 checks passed\n"),
+    (["--suite", "histogram", "--n", "40", "--samples", "60", "--seed", "0"],
+     b"check                             measured         bound status\n"
+     b"paramagnet_mode_center        0.000000e+00  2.439024e-02 PASS\n"
+     b"paramagnet_clt_std            1.423173e-01  2.000000e-01 PASS\n"
+     b"ferromagnet_top_bin           2.439024e-02  4.878049e-02 PASS\n"
+     b"spinglass_broadening          9.266245e-01  1.000000e+00 PASS\n"
+     b"4/4 checks passed\n"),
+]
+
+
+@pytest.mark.parametrize("args,expected", _SUITE_BYTES,
+                         ids=["enumeration", "lemmas", "histogram"])
+def test_finite_size_suite_bytes(runner, args, expected):
+    res = invoke(runner, ["verify"] + args, env={"RSB_NODES": None})
+    assert res.exit_code == 0
+    assert res.stdout_bytes == expected

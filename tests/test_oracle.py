@@ -283,3 +283,47 @@ def test_enumeration_golden():
     assert repr(enumerate_hopfield_pressure(_GOLDEN_HOP, 5, samples=3,
                                             seed=0)) == \
         "Estimate(value=0.9972428728911017, stderr=0.07862755975073568)"
+
+
+@pytest.mark.parametrize("model,point,params", [
+    ("sk", InterpolationPoint(t=0.5, x=(0.4, 0.25), w=0.3), _GOLDEN_SK),
+    ("hopfield", InterpolationPoint(t=0.5, x=(0.5, 0.2), y=(0.6,), z=0.3,
+                                    w=0.3), _GOLDEN_HOP),
+    ("hopfield", InterpolationPoint(t=0.5, x=(0.5,), y=(0.6, 0.9), z=0.3,
+                                    w=0.3), _GOLDEN_HOP),
+], ids=["sk-x", "hopfield-x", "hopfield-y"])
+def test_flat_check_rejects_extra_coordinates(model, point, params):
+    # a point meant for a deeper check must not be read at the flat level
+    with pytest.raises(RangeViolation, match="at most one field variance"):
+        interpolation_derivative_check(model, "x", point, params, n=4,
+                                       samples=2, p=3)
+
+
+_SK_FLAT = SkParams(beta=1.0, j0=0.8, j=1.0)
+_FLAT_POINT = InterpolationPoint(t=0.5, x=(0.4,), w=0.3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: interpolation_derivative_check("sk", "t", _FLAT_POINT, _SK_FLAT,
+                                           n=4, samples=0),
+    lambda: enumerate_sk_pressure(_SK_FLAT, 4, samples=0),
+    lambda: enumerate_hopfield_pressure(_GOLDEN_HOP, 4, samples=0),
+    lambda: interpolation_derivative_check("sk", "t", _FLAT_POINT, _SK_FLAT,
+                                           n=0, samples=2),
+    lambda: metropolis_run(_SK_FLAT, 0, 10),
+    lambda: metropolis_run(_GOLDEN_HOP, 0, 10),
+    lambda: overlap_histogram(_SK_FLAT, 10, 10, disorder_samples=0),
+    lambda: overlap_histogram(_SK_FLAT, 0, 10),
+    lambda: overlap_histogram(_SK_FLAT, 10, 0),
+    lambda: metropolis_state_trace(_SK_FLAT, 0, 10),
+    lambda: metropolis_run(_SK_FLAT, 10, 10, burn_in=-3),
+    lambda: metropolis_run(_GOLDEN_HOP, 10, 10, p=0),
+    lambda: enumerate_hopfield_pressure(_GOLDEN_HOP, 4, p=0),
+], ids=["interp-samples0", "enum-sk-samples0", "enum-hop-samples0",
+        "interp-n0", "metropolis-sk-n0", "metropolis-hop-n0",
+        "histogram-disorder0", "histogram-n0", "histogram-sweeps0",
+        "trace-n0", "metropolis-negative-burn-in", "metropolis-hop-p0",
+        "enum-hop-p0"])
+def test_empty_oracle_inputs_are_typed_errors(call):
+    with pytest.raises(RangeViolation):
+        call()
