@@ -110,9 +110,9 @@ def _model_options(f):
         click.option("--theta", "thetas", type=float, multiple=True,
                      help="Weight exponent, once per level (k values)."),
         click.option("--nodes", type=int, default=None,
-                     help="Quadrature nodes per level, at most; fewer at "
-                          "deep k so the grid fits the budget "
-                          "[default: RSB_NODES or 80]."),
+                     help="Quadrature nodes per level (2 to 1024), at "
+                          "most; fewer at deep k so the grid fits the "
+                          "budget [default: RSB_NODES or 80]."),
         click.option("--damping", type=float, default=0.5, show_default=True,
                      help="Fixed-point damping factor."),
         click.option("--tol", type=float, default=1e-10, show_default=True,
@@ -443,8 +443,9 @@ _SUITES = {
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Base seed for all sampling.")
 @click.option("--nodes", type=int, default=None,
-              help="Quadrature nodes per level, at most; fewer at deep k "
-                   "so the grid fits the budget [default: RSB_NODES or 80]. "
+              help="Quadrature nodes per level (2 to 1024), at most; fewer "
+                   "at deep k so the grid fits the budget [default: "
+                   "RSB_NODES or 80]. "
                    "The stationarity suite solves on at least 80, the "
                    "resolution its bound is calibrated at; the collapse "
                    "suite uses at most 24.")

@@ -199,6 +199,9 @@ def validate_ansatz(ansatz):
 # ---------------------------------------------------------------------------
 # quadrature configuration
 
+MAX_NODES = 1024
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Budget knobs for the nested Gaussian averages.
@@ -209,7 +212,9 @@ class QuadratureSpec:
     ``nodes_per_level`` is an upper bound that deep hierarchies fall
     below (the default gives 80 nodes up to k=2, 32 at k=3, 16 at k=4);
     a grid that does not fit with two nodes per level raises
-    BudgetExceeded.
+    BudgetExceeded.  The node rule takes O(n^2) memory, so
+    ``nodes_per_level`` is capped at ``MAX_NODES`` = 1024, the most the
+    default budget gives any depth k >= 1.
     """
 
     nodes_per_level: int = 80
@@ -218,8 +223,9 @@ class QuadratureSpec:
     def __post_init__(self):
         object.__setattr__(self, "nodes_per_level", int(self.nodes_per_level))
         object.__setattr__(self, "max_tensor_points", int(self.max_tensor_points))
-        if self.nodes_per_level < 2:
-            raise RangeViolation("nodes_per_level must be >= 2")
+        if not 2 <= self.nodes_per_level <= MAX_NODES:
+            raise RangeViolation("nodes_per_level must lie in [2, %d], got %d"
+                                 % (MAX_NODES, self.nodes_per_level))
         if self.max_tensor_points < 1:
             raise RangeViolation("max_tensor_points must be >= 1")
 

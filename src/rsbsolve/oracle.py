@@ -381,7 +381,8 @@ def overlap_histogram(params, n, sweeps, seed=0, disorder_samples=2, bins=41):
     """Histogram of the overlap between two independent replicas sharing
     each coupling sample.  Both chains start fully aligned, so a strong
     ferromagnet concentrates in the top bin."""
-    _at_least_one(n=n, sweeps=sweeps, disorder_samples=disorder_samples)
+    _at_least_one(n=n, sweeps=sweeps, disorder_samples=disorder_samples,
+                  bins=bins)
     qs = []
     burn = sweeps // 2
     for d in range(disorder_samples):
@@ -661,13 +662,20 @@ def interpolation_derivative_check(model, target, point, params, n,
     The difference is evaluated per disorder sample and aggregated, so
     the reported stderr reflects exactly the statistical content of the
     identity being checked.  A target under a square root whose
-    difference stencil would leave the domain raises RangeViolation.
+    difference stencil would leave the domain raises RangeViolation, and
+    so do an exponent outside (0, 1], a step that is not positive and
+    finite, and fewer than one inner draw.
     """
-    _at_least_one(n=n, samples=samples)
+    _at_least_one(n=n, samples=samples, inner_samples=inner_samples)
+    if not 0.0 < step < math.inf:
+        raise RangeViolation("step must be positive and finite, got %r" % step)
     thetas = tuple(float(v) for v in thetas)
     if model == "sk":
         if len(thetas) > 1:
             raise RangeViolation("pairwise checks support zero or one exponent")
+        if thetas and not 0.0 < thetas[0] <= 1.0:
+            raise RangeViolation("exponent must lie in (0, 1], got %r"
+                                 % thetas[0])
         cls = _Sk1rsbSample if thetas else _SkRsSample
         extra = (thetas[0], inner_samples) if thetas else ()
     elif model == "hopfield":

@@ -7,8 +7,9 @@ magnetization and all overlap plateaus) from one pass.
 
 All expectations are over independent standard normals, one per
 hierarchy level, on Gauss-Hermite nodes (physicists' nodes rescaled to
-unit variance).  Every level gets the same node count, the largest that
-``QuadratureSpec`` allows and whose tensor grid fits its budget.
+unit variance, from a numpy-only Golub-Welsch rule).  Every level gets
+the same node count, the largest that ``QuadratureSpec`` allows and
+whose tensor grid fits its budget.
 
 A ``LevelPlan`` fixes the exponents, nodes, weights and exponent ratios
 of one depth; ``plan_moments`` / ``plan_log_cosh`` evaluate on it, so a
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from .core import (
     BudgetExceeded,
@@ -43,10 +43,68 @@ THETA_FLOOR = 0.01
 _DEFAULT_SPEC = QuadratureSpec()
 
 
+def _hermite(n, x):
+    """Physicists' H_n(x) as mantissas and binary exponents, H_n = m * 2**e.
+
+    The backward three-term recurrence for He_n(sqrt(2) x) times
+    2**(n/2): scipy's ``eval_hermite``.  Every step is rescaled by the
+    power of two that brings the newest term into [0.5, 1), which is
+    exact, so each rounding is that of the unscaled recurrence while
+    degrees whose values overflow a double stay finite.
+    """
+    t = math.sqrt(2.0) * x
+    y2, y3 = np.ones_like(t), np.zeros_like(t)
+    e = np.zeros(t.shape, dtype=np.int64)
+    for k in range(n, 0, -1):
+        y2, y3 = t * y2 - k * y3, y2
+        y2, d = np.frexp(y2)
+        y3 = np.ldexp(y3, -d)
+        e += d
+    return y2 * 2.0 ** (n / 2.0), e
+
+
+def _fit(m, e):
+    """m * 2**e times the one power of two that brings the largest
+    exponent down to 1000: the plain values whenever those fit."""
+    return np.ldexp(m, e - max(0, int(e.max()) - 1000))
+
+
+def _balanced(m, e):
+    """The values m * 2**e divided by the geometric mean of their
+    largest and smallest magnitude, up to a power of two."""
+    m, d = np.frexp(m)
+    v = _fit(m, e + d)
+    logv = np.log(np.abs(v))
+    return v / np.exp((logv.max() + logv.min()) / 2.0)
+
+
 @lru_cache(maxsize=64)
 def _hermite_nodes(n):
-    # roots of H_n: rescale so the weight is the standard normal density
-    x, w = roots_hermite(n)
+    """Gauss-Hermite nodes and weights for the standard normal density.
+
+    Golub & Welsch, Math. Comp. 23, 221 (1969): the eigenvalues of the
+    Jacobi matrix (off-diagonal sqrt(k/2)), one Newton step on H_n, the
+    weights 1/(H_{n-1} H_n') from the balanced factors, then symmetrized
+    and summed to sqrt(pi), the way scipy's ``roots_hermite`` computes
+    them for n <= 150 and bit for bit equal to it there.  The dense
+    eigensolve takes O(n^2) memory, which ``QuadratureSpec`` caps.
+    """
+    off = np.sqrt(np.arange(1.0, n) / 2.0)
+    x = np.linalg.eigvalsh(np.diag(off, -1))
+    y, ey = _hermite(n, x)
+    dy, edy = _hermite(n - 1, x)
+    dy = 2.0 * n * dy
+    x = x - np.ldexp(y / dy, ey - edy)
+    # the product of the balanced factors spans more than a double at
+    # large n, so it is formed on their mantissas
+    a, ea = np.frexp(_balanced(*_hermite(n - 1, x)))
+    b, eb = np.frexp(_balanced(dy, edy))
+    w = _fit(1.0 / (a * b), -(ea + eb))
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= np.sqrt(np.pi) / w.sum()
+    # rescale so the weight is the standard normal density (after
+    # scipy's normalization, which fixes the last bits)
     h = x * math.sqrt(2.0)
     wn = w / math.sqrt(math.pi)
     h.setflags(write=False)

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import rsbsolve
 from rsbsolve.cli import main
 
 
@@ -61,7 +66,12 @@ DEEP_THETAS = [a for i in range(20) for a in ("--theta", "%g" % (0.04 * (i + 1))
     ["solve", "--model", "sk", "--beta", "1", "--k", "20"] + DEEP_THETAS,
     ["sweep", "--model", "sk", "--beta", "1", "--k", "20"] + DEEP_THETAS
     + ["--sweep", "beta=0.5:1:2"],
-], ids=["sweep_bad_point", "sweep_bad_theta", "solve_budget", "sweep_budget"])
+    # more nodes than the node rule's cap
+    ["solve", "--model", "sk", "--beta", "1", "--nodes", "2000"],
+    ["sweep", "--model", "sk", "--beta", "1", "--nodes", "2000",
+     "--sweep", "beta=0.5:1:2"],
+], ids=["sweep_bad_point", "sweep_bad_theta", "solve_budget", "sweep_budget",
+        "solve_nodes_cap", "sweep_nodes_cap"])
 def test_library_errors_are_usage_errors(runner, args):
     res = invoke(runner, args)
     assert res.exit_code == 1
@@ -233,3 +243,16 @@ def test_finite_size_suite_bytes(runner, args, expected):
     res = invoke(runner, ["verify"] + args, env={"RSB_NODES": None})
     assert res.exit_code == 0
     assert res.stdout_bytes == expected
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only: the package and its command line
+    # must import without it, so it cannot creep back onto a cold start
+    src = str(Path(rsbsolve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import rsbsolve, rsbsolve.cli, sys; print(sorted(m for m in "
+            "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

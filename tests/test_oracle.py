@@ -327,3 +327,20 @@ _FLAT_POINT = InterpolationPoint(t=0.5, x=(0.4,), w=0.3)
 def test_empty_oracle_inputs_are_typed_errors(call):
     with pytest.raises(RangeViolation):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: interpolation_derivative_check("sk", "w", _FLAT_POINT, _SK_FLAT,
+                                           n=3, samples=2, step=0.0),
+    lambda: interpolation_derivative_check(
+        "sk", "w", InterpolationPoint(t=0.5, x=(0.4, 0.25), w=0.3), _SK_FLAT,
+        n=3, samples=2, thetas=(0.0,)),
+    lambda: interpolation_derivative_check(
+        "sk", "w", InterpolationPoint(t=0.5, x=(0.4, 0.25), w=0.3), _SK_FLAT,
+        n=3, samples=2, thetas=(0.5,), inner_samples=0),
+    lambda: overlap_histogram(_SK_FLAT, 10, 10, bins=0),
+], ids=["interp-step0", "interp-theta0", "interp-inner0", "histogram-bins0"])
+def test_oracle_knobs_are_typed_errors(call):
+    # each used to return NaN, a bare ValueError or an unusable histogram
+    with pytest.raises(RangeViolation):
+        call()

@@ -1,6 +1,7 @@
 """Gaussian expectation layer against dense-grid and closed-form oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,56 @@ def dense_ratio_1rsb(offset, c1, c2, theta, inner, square_at_level):
     if square_at_level == 1:
         partial = partial ** 2
     return float((GRID_W * partial).sum())
+
+
+def _scipy_rule(n):
+    special = pytest.importorskip("scipy.special")
+    x, w = special.roots_hermite(n)
+    return x * math.sqrt(2.0), w / math.sqrt(math.pi)
+
+
+def test_hermite_rule_matches_scipy_bitwise():
+    # scipy's Golub-Welsch branch covers n <= 150; the rule repeats it
+    for n in range(1, 151):
+        h, w = quadrature._hermite_nodes(n)
+        sh, sw = _scipy_rule(n)
+        assert np.array_equal(h, sh) and np.array_equal(w, sw), n
+
+
+@pytest.mark.parametrize("n", [151, 160, 300, 1024])
+def test_hermite_rule_beyond_scipys_switch(n):
+    # scipy switches to an asymptotic rule here; the recurrence must stay
+    # finite and quiet where H_n overflows a double
+    sh, sw = _scipy_rule(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        h, w = quadrature._hermite_nodes.__wrapped__(n)
+    assert np.abs(h - sh).max() <= 1e-13
+    assert np.abs(w - sw).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [3, 24, 80, 151, 1024])
+def test_hermite_rule_moments(n):
+    h, w = quadrature._hermite_nodes(n)
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.dot(w, h ** 2) == pytest.approx(1.0, abs=1e-12)
+    assert np.dot(w, h ** 4) == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 80, 1024])
+def test_hermite_rule_symmetric_and_read_only(n):
+    h, w = quadrature._hermite_nodes(n)
+    assert np.array_equal(h, -h[::-1])
+    assert np.array_equal(w, w[::-1])
+    assert not h.flags.writeable and not w.flags.writeable
+
+
+def test_node_count_capped_at_rule_limit():
+    with pytest.raises(RangeViolation, match="1024"):
+        QuadratureSpec(nodes_per_level=1025)
+    # 1024^2 = 2^20 points: the default budget's largest one-step plan
+    plan = quadrature.level_plan((0.5,), QuadratureSpec(nodes_per_level=1024))
+    assert [len(x) for x in plan.nodes] == [1024, 1024]
 
 
 def test_unit_expectation():
