@@ -249,8 +249,9 @@ class SolveReport:
     scalar or array for generic maps).  ``pressure`` and ``stationarity``
     are filled by the model drivers and stay None for generic maps or
     failed branches.  ``residual_history`` keeps the per-iteration update
-    norms for diagnostics, and ``start`` the index of the start a model
-    solve iterated from (None for generic maps).
+    norms for diagnostics, ``start`` the index of the start a model
+    solve iterated from and ``nodes`` the Gauss-Hermite node count per
+    level of its quadrature plan (both None for generic maps).
     """
 
     ansatz: object
@@ -262,6 +263,7 @@ class SolveReport:
     residual_history: tuple = ()
     error: str | None = None
     start: int | None = None
+    nodes: int | None = None
 
     def with_fields(self, **kw):
         return replace(self, **kw)

@@ -20,11 +20,26 @@ and each level is integrated out with one row sum.
 Everything runs in the log domain with a max subtraction per reduction,
 so large arguments cannot overflow; that max is read off the two end
 nodes, since every level's log kernel is convex in its node.
+
+Both kernels walk the grid in chunks of outermost nodes of at most
+``_CHUNK_POINTS`` = 2^17 grid points, lanes included, so each float64
+temporary is 1 MB and stays in a 2 MB L2 cache, and peak memory is
+bounded by the chunk rather than the tensor.  The chunks are spread
+over the CPUs the process may run on: the caller takes one strided
+share and one thread per further CPU another, started per call and
+joined before it returns.  Every step within a chunk is elementwise or
+a row sum over the contiguous last axis and the outermost level's dot
+product runs on the caller over the whole node vector, so every output
+is bit for bit that of the grid in one piece.  A grid of one chunk is
+evaluated in one piece on the caller.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,6 +54,10 @@ from .core import (
 )
 
 THETA_FLOOR = 0.01
+
+# grid points per chunk of a tensor-grid kernel: 1 MB per float64
+# temporary, which stays in a 2 MB L2 cache
+_CHUNK_POINTS = 1 << 17
 
 _DEFAULT_SPEC = QuadratureSpec()
 
@@ -115,13 +134,17 @@ def _hermite_nodes(n):
 def gauss_expect(f, spec=None):
     """Expectation of ``f(h)`` for a single standard normal ``h``.
 
-    ``f`` may be vectorized over a node array; a scalar-only callable is
-    looped over.
+    ``f`` may be vectorized over a node array; a scalar-only callable
+    (one that raises ``TypeError`` on the array or returns a value of
+    another shape) is looped over.
     """
     spec = _DEFAULT_SPEC if spec is None else spec
     h, w = _hermite_nodes(spec.nodes_per_level)
-    vals = np.asarray(f(h), dtype=float)
-    if vals.shape != h.shape:
+    try:
+        vals = np.asarray(f(h), dtype=float)
+    except TypeError:
+        vals = None
+    if vals is None or vals.shape != h.shape:
         vals = np.array([float(f(hi)) for hi in h])
     if not np.all(np.isfinite(vals)):
         raise NonFiniteIntegrand("integrand returned a non-finite value")
@@ -173,9 +196,9 @@ def _plan_levels(n_levels, spec):
 @dataclass(frozen=True)
 class LevelPlan:
     """Everything a nested average needs besides the field: the interior
-    weight exponents, per-level nodes and weights (outermost first), and
+    weight exponents, per-level nodes and weights (outermost first),
     ``inner``, one ``(weights, exponent ratio)`` entry per interior
-    level, innermost first.
+    level, innermost first, and ``points``, the size of the tensor grid.
 
     A plan holds O(k * nodes) floats and no grid-sized buffer, so one
     can be built per solve and reused by every map application.
@@ -185,6 +208,7 @@ class LevelPlan:
     nodes: tuple
     weights: tuple
     inner: tuple
+    points: int
 
 
 def level_plan(thetas=(), spec=None):
@@ -196,7 +220,8 @@ def level_plan(thetas=(), spec=None):
     inner = tuple((weights, th[i - 1] / th[i])
                   for i in range(len(thetas), 0, -1))
     levels = len(thetas) + 1
-    return LevelPlan(thetas, (nodes,) * levels, (weights,) * levels, inner)
+    return LevelPlan(thetas, (nodes,) * levels, (weights,) * levels, inner,
+                     len(nodes) ** levels)
 
 
 def _field_tensor(offset, coeffs, nodes):
@@ -247,15 +272,81 @@ def _reweight(logn, r, w):
     return mx
 
 
+def _cpu_count():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:         # no affinity mask outside Linux
+        return os.cpu_count() or 1
+
+
+def _by_outer_nodes(rows, lead, plan, offset, coeffs):
+    """``rows(offset, coeffs, nodes, plan.inner)`` on the whole grid,
+    evaluated in chunks of outermost nodes.
+
+    ``rows`` integrates out every interior level and returns an array
+    of shape ``lead + (len(nodes[0]),)``.  Each chunk holds at most
+    ``_CHUNK_POINTS`` grid points, lanes included (one outer node's
+    sub-grid if that alone is larger), and writes its slice of the last
+    axis.  Every step of ``rows`` is elementwise or a row sum over the
+    contiguous last axis, so each entry is bit for bit that of the
+    whole grid in one piece.  A grid of one chunk is ``rows`` called
+    once, on the whole grid.
+    """
+    nodes = plan.nodes
+    points = len(offset) * plan.points
+    if points <= _CHUNK_POINTS:
+        return rows(offset, coeffs, nodes, plan.inner)
+    n0 = len(nodes[0])
+    size = max(1, _CHUNK_POINTS * n0 // points)
+    out = np.empty(lead + (n0,))
+
+    def run(spans):
+        for s in spans:
+            out[..., s] = rows(offset, coeffs, (nodes[0][s],) + nodes[1:],
+                               plan.inner)
+
+    _spread(run, [slice(lo, lo + size) for lo in range(0, n0, size)])
+    return out
+
+
+def _spread(run, spans):
+    """``run`` over strided shares of ``spans``, one share per available
+    CPU: the caller takes the first and one thread each the others.
+
+    The threads are joined before this returns.  Each runs in a copy of
+    the caller's context, so numpy's error state holds there too, and
+    the first exception a thread raises is raised here after the join.
+    """
+    workers = min(_cpu_count(), len(spans))
+    errors = []
+
+    def helper(share):
+        try:
+            run(share)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(helper, spans[i::workers]))
+               for i in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        run(spans[::workers])
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
 def plan_log_cosh(plan, offset, coeffs):
     """Hierarchical free-energy term on a prepared plan; see
     ``nested_log_cosh_expect``."""
     offset, coeffs = _check_field(offset, coeffs, len(plan.nodes))
-    g = _field_tensor(np.array([offset]), coeffs[None], plan.nodes)[0]
-    logn = _log2cosh(g, np.empty_like(g))
-    for w, r in plan.inner:        # integrate out a level
-        mx = _reweight(logn, r, w)
-        logn = mx + np.log(logn.sum(axis=-1))
+    logn = _by_outer_nodes(_log_cosh_rows, (), plan, np.array([offset]),
+                           coeffs[None])
     th1 = plan.thetas[0] if plan.thetas else 1.0
     value = float(np.dot(plan.weights[0], logn) / th1)
     if not math.isfinite(value):
@@ -303,15 +394,36 @@ def plan_moments(plan, offset, coeffs):
 def _moments(plan, offset, coeffs):
     """The unclipped ``[m, q_{k+1}, ..., q_1]`` rows of a block of lanes
     with finite fields."""
-    g = _field_tensor(offset, coeffs, plan.nodes)
+    rows = _by_outer_nodes(_moment_rows, (len(plan.inner) + 3, len(offset)),
+                           plan, offset, coeffs)
+    return np.vecdot(rows[1:], plan.weights[0]).T
+
+
+def _log_cosh_rows(offset, coeffs, nodes, inner):
+    """The log kernel of the one lane's field on the outermost level's
+    ``nodes[0]``, every interior level integrated out."""
+    g = _field_tensor(offset, coeffs, nodes)[0]
+    logn = _log2cosh(g, np.empty_like(g))
+    for w, r in inner:             # integrate out a level
+        mx = _reweight(logn, r, w)
+        logn = mx + np.log(logn.sum(axis=-1))
+    return logn
+
+
+def _moment_rows(offset, coeffs, nodes, inner):
+    """The log kernel (row 0, unset without interior levels), the
+    running tanh average and the plateaus innermost first of a block of
+    lanes on the outermost level's ``nodes[0]``, every interior level
+    integrated out."""
+    g = _field_tensor(offset, coeffs, nodes)
     # row 0: log kernel; rows 1..: running tanh average, then the
     # plateaus innermost first
     rows = np.empty((3,) + g.shape)
     np.tanh(g, out=rows[1])
     np.multiply(rows[1], rows[1], out=rows[2])
-    if plan.inner:
+    if inner:
         _log2cosh(g, rows[0])
-    for w, r in plan.inner:        # integrate out a level
+    for w, r in inner:             # integrate out a level
         mx = _reweight(rows[0], r, w)
         rows[1:] *= rows[0]
         sums = rows.sum(axis=-1)
@@ -321,7 +433,7 @@ def _moments(plan, offset, coeffs):
         np.divide(sums[1:], sums[0], out=nxt[1:-1])
         np.multiply(nxt[1], nxt[1], out=nxt[-1])
         rows = nxt
-    return np.vecdot(rows[1:], plan.weights[0]).T
+    return rows
 
 
 def nested_log_cosh_expect(offset, coeffs, thetas=(), spec=None):

@@ -402,10 +402,10 @@ def solve_grid(model, params_seq, k=0, thetas=(), spec=None, options=None,
     for lane, (_, _, start) in enumerate(lanes):
         groups.setdefault(start.thetas, []).append(lane)
     iterated = [None] * len(lanes)
+    nodes = [None] * len(lanes)
     for th, members in groups.items():
         plan = level_plan(th, spec)
-        size = max(1, spec.max_tensor_points
-                   // math.prod(len(n) for n in plan.nodes))
+        size = max(1, spec.max_tensor_points // plan.points)
         project = _projection(len(th))
         for b in range(0, len(members), size):
             block = members[b:b + size]
@@ -416,9 +416,10 @@ def solve_grid(model, params_seq, k=0, thetas=(), spec=None, options=None,
                 x0, opts, project)
             for j, rep in zip(block, reps):
                 iterated[j] = rep
+                nodes[j] = len(plan.nodes[0])
     out = [[] for _ in points]
-    for (p, i, start), rep in zip(lanes, iterated):
-        rep = rep.with_fields(start=i, ansatz=replace(
+    for (p, i, start), rep, n in zip(lanes, iterated, nodes):
+        rep = rep.with_fields(start=i, nodes=n, ansatz=replace(
             start, m=rep.ansatz[0], qs=rep.ansatz[1:]))
         out[p].append(_finish(model, points[p], spec, rep))
     for reports in out:

@@ -1,6 +1,8 @@
 """Gaussian expectation layer against dense-grid and closed-form oracles."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -26,6 +28,7 @@ from rsbsolve import (
     sk_pressure_krsb,
     sk_pressure_rs,
     sk_sce_krsb,
+    solve_model,
 )
 from rsbsolve import quadrature
 
@@ -112,6 +115,11 @@ def test_second_moment():
 
 def test_cosh_moment():
     assert gauss_expect(np.cosh) == pytest.approx(math.exp(0.5), rel=1e-13)
+
+
+def test_scalar_only_integrand_is_looped_over():
+    # math.cos raises TypeError on an array instead of broadcasting
+    assert gauss_expect(math.cos) == pytest.approx(math.exp(-0.5), abs=1e-13)
 
 
 def test_nonfinite_integrand_raises():
@@ -285,6 +293,168 @@ def test_one_grid_pass_per_map_application(k, monkeypatch):
     assert len(calls) == 1
     hop_sce_krsb(HopfieldParams(beta=1.1, alpha=0.1), a, spec)
     assert len(calls) == 2
+
+
+def _chunked(monkeypatch, points, cpus):
+    """Chunks of ``points`` grid points spread over ``cpus`` CPUs."""
+    monkeypatch.setattr(quadrature, "_CHUNK_POINTS", points)
+    monkeypatch.setattr(quadrature, "_cpu_count", lambda: cpus)
+
+
+def _one_chunk(monkeypatch):
+    monkeypatch.setattr(quadrature, "_CHUNK_POINTS", 1 << 62)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_chunked_grid_is_walked_once(k, monkeypatch):
+    points = []
+    build = quadrature._field_tensor
+
+    def counted(offset, coeffs, nodes):
+        points.append(len(offset) * math.prod(len(x) for x in nodes))
+        return build(offset, coeffs, nodes)
+
+    monkeypatch.setattr(quadrature, "_field_tensor", counted)
+    # 3 of the 16 outer nodes per chunk, so the last chunk is short
+    _chunked(monkeypatch, 3 * 16 ** k, 2)
+    spec = QuadratureSpec(nodes_per_level=16)
+    thetas = tuple(np.linspace(0.3, 0.7, k))
+    a = RsbAnsatz(k=k, m=0.4, qs=np.linspace(0.5, 0.8, k + 1), thetas=thetas)
+    sk_sce_krsb(SkParams(beta=1.3, j0=0.4), a, spec)
+    assert len(points) == 6 and sum(points) == 16 ** (k + 1)
+    hop_sce_krsb(HopfieldParams(beta=1.1, alpha=0.1), a, spec)
+    assert len(points) == 12 and sum(points) == 2 * 16 ** (k + 1)
+
+
+# (k, nodes): 7 outer nodes per chunk never divide the node count
+CHUNKED_PLANS = [(0, 80), (1, 80), (2, 24), (3, 12), (2, 80), (3, 32)]
+
+
+@pytest.mark.parametrize("k,nodes", CHUNKED_PLANS)
+def test_chunked_log_cosh_is_bitwise(k, nodes, monkeypatch):
+    rng = np.random.default_rng(40 + k)
+    plan = quadrature.level_plan(tuple(np.sort(rng.uniform(0.1, 0.9, k))),
+                                 QuadratureSpec(nodes_per_level=nodes))
+    fields = [(rng.normal(), rng.uniform(0.0, 2.0, k + 1)) for _ in range(3)]
+    _one_chunk(monkeypatch)
+    want = [quadrature.plan_log_cosh(plan, *f) for f in fields]
+    for cpus in (1, 2, 3):
+        _chunked(monkeypatch, 7 * nodes ** k, cpus)
+        assert [quadrature.plan_log_cosh(plan, *f) for f in fields] == want
+
+
+@pytest.mark.parametrize("k,nodes", CHUNKED_PLANS)
+def test_chunked_moments_are_bitwise(k, nodes, monkeypatch):
+    rng = np.random.default_rng(50 + k)
+    plan = quadrature.level_plan(tuple(np.sort(rng.uniform(0.1, 0.9, k))),
+                                 QuadratureSpec(nodes_per_level=nodes))
+    offset = rng.normal(size=5)
+    coeffs = rng.uniform(0.0, 2.0, (5, k + 1))
+    offset[2] = np.nan             # a failed lane among four finite ones
+    _one_chunk(monkeypatch)
+    want, want_failed = quadrature.plan_moments(plan, offset, coeffs)
+    for cpus in (1, 2, 3):
+        _chunked(monkeypatch, 7 * 4 * nodes ** k, cpus)
+        got, failed = quadrature.plan_moments(plan, offset, coeffs)
+        assert got.tobytes() == want.tobytes()
+        assert failed.keys() == want_failed.keys() == {2}
+
+
+def test_chunks_on_more_threads_than_cores(monkeypatch):
+    # eight threads on one-node chunks, switching as often as the
+    # interpreter allows: every chunk still lands in its own slice once
+    plan = quadrature.level_plan((0.4,), QuadratureSpec(nodes_per_level=40))
+    rng = np.random.default_rng(60)
+    offset, coeffs = rng.normal(size=3), rng.uniform(0.0, 2.0, (3, 2))
+    want, _ = quadrature.plan_moments(plan, offset, coeffs)
+    _chunked(monkeypatch, 3 * 40, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            got, _ = quadrature.plan_moments(plan, offset, coeffs)
+            assert got.tobytes() == want.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_chunked_solve_is_bitwise(monkeypatch):
+    args = ("sk", SkParams(beta=1.6, j0=0.3), 2, (0.3, 0.6),
+            QuadratureSpec(nodes_per_level=13))
+    _one_chunk(monkeypatch)
+    want = solve_model(*args)
+    # lanes leave the block as they converge, so the chunk width varies
+    _chunked(monkeypatch, 5 * 13 ** 2, 2)
+    got = solve_model(*args)
+    assert got == want
+    assert all(r.residual_history for r in got)
+
+
+def _fault_at_last_node(monkeypatch, fault):
+    """Make the chunk that holds the largest outer node fail, and
+    return the list of threads it ran on."""
+    build = quadrature._field_tensor
+    where = []
+
+    def failing(offset, coeffs, nodes):
+        if nodes[0][-1] == nodes[1][-1]:     # every level has one rule
+            where.append(threading.current_thread())
+            fault()
+        return build(offset, coeffs, nodes)
+
+    monkeypatch.setattr(quadrature, "_field_tensor", failing)
+    return where
+
+
+def _injected():
+    raise LookupError("injected")
+
+
+def _overflow():
+    np.float64(1e308) * np.float64(10.0)
+
+
+KERNELS = pytest.mark.parametrize("kernel", [
+    pytest.param(nested_log_cosh_expect, id="log_cosh"),
+    pytest.param(nested_moments, id="moments"),
+])
+
+
+@KERNELS
+@pytest.mark.parametrize("fault,error", [(_injected, LookupError),
+                                         (_overflow, RuntimeWarning)])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_chunk_failure_reaches_caller(kernel, fault, error, cpus, monkeypatch):
+    where = _fault_at_last_node(monkeypatch, fault)
+    # 16 outer nodes in 6 chunks: the last one falls to the helper thread
+    _chunked(monkeypatch, 3 * 16, cpus)
+    alive = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error):
+            kernel(0.3, [0.8, 0.5], (0.5,), QuadratureSpec(nodes_per_level=16))
+    assert (where[0] is threading.main_thread()) == (cpus == 1)
+    assert threading.active_count() == alive
+
+
+@KERNELS
+@pytest.mark.parametrize("points", [1 << 17, 16])
+def test_error_state_holds_in_every_chunk(kernel, points, monkeypatch):
+    # only the outermost node's fields pass 354, where exp(-2|x|)
+    # underflows; in 16 one-node chunks on two CPUs that node's chunk
+    # runs on the helper thread
+    where = _fault_at_last_node(monkeypatch, lambda: None)
+    _chunked(monkeypatch, points, 2)
+    args = (40.0, [50.0, 1.0], (0.5,), QuadratureSpec(nodes_per_level=16))
+    alive = threading.active_count()
+    value = kernel(*args)
+    assert (where[0] is threading.main_thread()) == (points > 16)
+    with np.errstate(under="raise"):
+        with pytest.raises(FloatingPointError):
+            kernel(*args)
+    _one_chunk(monkeypatch)
+    assert kernel(*args) == value
+    assert threading.active_count() == alive
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

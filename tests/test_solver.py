@@ -273,6 +273,16 @@ def test_solve_report_names_its_start():
     assert damped_fixed_point(np.cos, 0.3).start is None
 
 
+@pytest.mark.parametrize("k,nodes", [(0, 80), (1, 80), (2, 80), (3, 32)])
+def test_solve_report_names_its_node_count(k, nodes):
+    # the default budget of 2^20 grid points fits 80 nodes up to k=2
+    thetas = tuple(np.linspace(0.3, 0.7, k))
+    reports = solve_model("sk", SkParams(beta=1.2, j0=0.3), k, thetas,
+                          options=SolverOptions(max_iter=1))
+    assert [r.nodes for r in reports] == [nodes] * len(reports) != []
+    assert damped_fixed_point(np.cos, 0.3).nodes is None
+
+
 # (model, points, exponents, nodes): lanes of one grid that leave the
 # block at very different iterations or fail
 _GRID_CASES = {
