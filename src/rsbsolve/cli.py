@@ -137,6 +137,7 @@ def _branch_dict(index, report):
         "iterations": report.iterations,
         "converged": report.converged,
         "stationarity": report.stationarity,
+        "stationary": report.stationary,
     }
 
 

@@ -248,10 +248,13 @@ class SolveReport:
     ``ansatz`` is the final iterate (an RsbAnsatz for model solves, a bare
     scalar or array for generic maps).  ``pressure`` and ``stationarity``
     are filled by the model drivers and stay None for generic maps or
-    failed branches.  ``residual_history`` keeps the per-iteration update
-    norms for diagnostics, ``start`` the index of the start a model
-    solve iterated from and ``nodes`` the Gauss-Hermite node count per
-    level of its quadrature plan (both None for generic maps).
+    failed branches; ``stationary`` is True when stationarity is within
+    1e-5 and False for a converged point that the pressure on its grid
+    does not make stationary (None without the check).
+    ``residual_history`` keeps the per-iteration update norms for
+    diagnostics, ``start`` the index of the start a model solve
+    iterated from and ``nodes`` the Gauss-Hermite node count per level
+    of its quadrature plan (both None for generic maps).
     """
 
     ansatz: object
@@ -260,6 +263,7 @@ class SolveReport:
     converged: bool
     pressure: float | None = None
     stationarity: float | None = None
+    stationary: bool | None = None
     residual_history: tuple = ()
     error: str | None = None
     start: int | None = None

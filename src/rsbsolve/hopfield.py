@@ -18,15 +18,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    DomainError,
     Evaluation,
     HopfieldParams,
-    RangeViolation,
     RsbAnsatz,
     SusceptibilityDivergence,
     validate_ansatz,
 )
-from .quadrature import level_plan, nested_log_cosh_expect, plan_moments
+from .quadrature import level_plan, plan_log_cosh, plan_moments
 
 
 @dataclass(frozen=True)
@@ -36,29 +34,45 @@ class QDenominators:
     values: tuple
 
 
-def _denominators(beta, q, th):
-    """Response cascade of overlaps ``q`` and exponents ``th`` (plain
-    floats); raises on the first non-positive value."""
-    k = len(th)
-    vals = [0.0] * (k + 1)
-    vals[k] = 1.0 - beta * (1.0 - q[k])
-    if vals[k] <= 0.0:
-        raise SusceptibilityDivergence(
-            "response denominator %r <= 0 at the innermost level" % vals[k])
+def _cascade(beta, q, th):
+    """Response denominators and closed-form conjugates (rows outermost
+    first) of a block of lanes: inverse temperatures ``beta``, overlap
+    rows ``q``, exponents ``th``; and a dict from row to the
+    ``SusceptibilityDivergence`` of each lane whose cascade reaches a
+    non-positive value, innermost first (its rows are NaN).  Each column
+    takes the operations of the one-lane recursion in its order, the
+    square by ``np.float_power`` (which rounds as Python's ``x ** 2``
+    and ``x * x`` does not), so every entry is bit for bit one lane's.
+    """
+    k = q.shape[1] - 1
+    qd = np.empty(q.shape)
+    qd[:, k] = 1.0 - beta * (1.0 - q[:, k])
     for i in range(k - 1, -1, -1):
-        vals[i] = vals[i + 1] - beta * th[i] * (q[i + 1] - q[i])
-        if vals[i] <= 0.0:
-            raise SusceptibilityDivergence(
-                "response denominator %r <= 0 at level %d" % (vals[i], i + 1))
-    return vals
+        qd[:, i] = qd[:, i + 1] - beta * th[i] * (q[:, i + 1] - q[:, i])
+    failed = {}
+    bad = qd <= 0.0
+    if bad.any():
+        for r in np.flatnonzero(bad.any(axis=1)).tolist():
+            i = int(np.flatnonzero(bad[r])[-1])
+            where = "the innermost level" if i == k else "level %d" % (i + 1)
+            failed[r] = SusceptibilityDivergence(
+                "response denominator %r <= 0 at %s" % (float(qd[r, i]), where))
+        qd[list(failed)] = np.nan
+    ps = np.empty(q.shape)
+    ps[:, 0] = beta * q[:, 0] / np.float_power(qd[:, 0], 2)
+    for i in range(1, k + 1):
+        ps[:, i] = ps[:, i - 1] + beta * (q[:, i] - q[:, i - 1]) / (
+            qd[:, i] * qd[:, i - 1])
+    return qd, ps, failed
 
 
-def _conjugates(beta, q, qd):
-    """Closed-form conjugate plateaus from overlaps and denominators."""
-    ps = [beta * q[0] / qd[0] ** 2]
-    for i in range(1, len(q)):
-        ps.append(ps[-1] + beta * (q[i] - q[i - 1]) / (qd[i] * qd[i - 1]))
-    return ps
+def _one_cascade(beta, ansatz):
+    """``_cascade`` of one admissible trial point; raises on divergence."""
+    qd, ps, failed = _cascade(np.array([beta]), np.array([ansatz.qs]),
+                              ansatz.thetas)
+    if failed:
+        raise failed[0]
+    return qd[0], ps[0]
 
 
 def hop_q_denominators(params, ansatz):
@@ -70,8 +84,7 @@ def hop_q_denominators(params, ansatz):
     that case.
     """
     a = validate_ansatz(ansatz)
-    vals = _denominators(params.beta, a.qs, a.thetas)
-    return QDenominators(values=tuple(vals))
+    return QDenominators(values=tuple(_one_cascade(params.beta, a)[0].tolist()))
 
 
 def hop_p_closed_form(params, ansatz):
@@ -81,36 +94,63 @@ def hop_p_closed_form(params, ansatz):
     beta (q_a - q_{a-1}) / (Q_a Q_{a-1}).
     """
     a = validate_ansatz(ansatz)
-    qd = _denominators(params.beta, a.qs, a.thetas)
-    return tuple(_conjugates(params.beta, a.qs, qd))
+    return tuple(_one_cascade(params.beta, a)[1].tolist())
 
 
 def _field_coeffs(alpha_beta, ps):
-    """Field coefficients sqrt(alpha beta dp) of conjugate plateaus
-    ``ps`` (last axis); ``alpha_beta`` broadcasts against them."""
+    """Field coefficients sqrt(alpha beta dp) of non-decreasing
+    conjugate plateaus ``ps`` (last axis: a validated ansatz's, or the
+    closed form of ordered overlaps); ``alpha_beta`` broadcasts against
+    them."""
     p = np.asarray(ps, dtype=float)
     dp = p.copy()
     dp[..., 1:] = p[..., 1:] - p[..., :-1]
-    if (dp < 0.0).any():
-        raise RangeViolation("conjugate plateaus must be non-decreasing")
     return np.sqrt(alpha_beta * dp)
 
 
-def _hop_terms(params, ansatz, ps, qd):
-    alpha, beta = params.alpha, params.beta
-    q = np.asarray(ansatz.qs, dtype=float)
-    th = np.asarray(ansatz.thetas, dtype=float)
-    p = np.asarray(ps, dtype=float)
-    qdv = np.asarray(qd, dtype=float)
-    k = ansatz.k
-    tower = 0.5 * alpha * sum(
-        math.log(qdv[i + 1] / qdv[i]) / th[i] for i in range(k))
-    logterm = -0.5 * alpha * math.log(qdv[k])
-    qterm = 0.5 * alpha * beta * q[0] / qdv[0]
-    pterm = -0.5 * alpha * beta * p[k] * (1.0 - q[k])
-    mix = -0.5 * alpha * beta * sum(
-        th[i] * (p[i + 1] * q[i + 1] - p[i] * q[i]) for i in range(k))
-    return tower, logterm, qterm, pterm, mix
+def _pressure_block(lanes, plan, x, ps=None):
+    """Pressures, their terms and a dict from row to each failed lane's
+    ``DomainError`` or ``NonFiniteIntegrand`` for a block of admissible
+    flat vectors, as ``_sce_step`` takes them (conjugates from ``ps``
+    or their closed form).  A lane at zero load takes unit denominators
+    and zero conjugates, so its load terms are signed zeros.  Each term
+    keeps the one-point formula's operation order and ``math.log``
+    (``np.log`` rounds differently): a lane's pressure is bit for bit a
+    block of one's.
+    """
+    beta, alpha = lanes[:, 0], lanes[:, 1]
+    m, q = x[:, 0], x[:, 1:]
+    th = plan.thetas
+    k = len(th)
+    qd, conj, failed = _cascade(beta, q, th)
+    if ps is not None:
+        conj = np.array(ps, dtype=float)
+    free = alpha == 0.0
+    if free.any():
+        failed = {i: exc for i, exc in failed.items() if not free[i]}
+        qd[free], conj[free] = 1.0, 0.0
+    half = 0.5 * alpha
+    tower, mix = np.zeros(len(x)), np.zeros(len(x))
+    for i in range(k):
+        tower = tower + _log(qd[:, i + 1] / qd[:, i]) / th[i]
+        mix = mix + th[i] * (conj[:, i + 1] * q[:, i + 1] - conj[:, i] * q[:, i])
+    field, bad = plan_log_cosh(plan, beta * m, _field_coeffs(lanes[:, 2:], conj))
+    bad.update(failed)
+    tower = half * tower
+    logterm = -half * _log(qd[:, k])
+    qterm = half * beta * q[:, 0] / qd[:, 0]
+    pterm = -half * beta * conj[:, k] * (1.0 - q[:, k])
+    mix = -half * beta * mix
+    bias = -0.5 * beta * m * m
+    terms = {"field": field, "response_tower": tower, "response_log": logterm,
+             "overlap_source": qterm, "conjugate_source": pterm + mix,
+             "bias_source": bias}
+    return field + tower + logterm + qterm + pterm + mix + bias, terms, bad
+
+
+def _log(v):
+    """``math.log`` of every entry of a 1-D array."""
+    return np.array([math.log(t) for t in v.tolist()])
 
 
 def hop_pressure_krsb(params, ansatz, spec=None):
@@ -118,33 +158,23 @@ def hop_pressure_krsb(params, ansatz, spec=None):
 
     When ``ansatz.ps`` is None the conjugate plateaus are filled from
     their closed form.  At zero storage load the pattern layer is absent
-    and the value reduces exactly to the one-body ferromagnet.
+    and the value reduces exactly to the one-body ferromagnet.  This is
+    ``_pressure_block`` on a block of one.
     """
     if not isinstance(params, HopfieldParams):
         raise TypeError("params must be HopfieldParams")
     a = validate_ansatz(ansatz)
-    alpha, beta = params.alpha, params.beta
-    if alpha == 0.0:
-        # no pattern layer: the response cascade and its guard drop out
-        field = nested_log_cosh_expect(beta * a.m, np.zeros(a.k + 1),
-                                       a.thetas, spec)
-        pressure = field - 0.5 * beta * a.m * a.m
-        return Evaluation(pressure=pressure,
-                          terms={"field": field, "load_terms": 0.0,
-                                 "bias_source": -0.5 * beta * a.m * a.m})
-    qd = _denominators(beta, a.qs, a.thetas)
-    ps = a.ps if a.ps is not None else _conjugates(beta, a.qs, qd)
-    field = nested_log_cosh_expect(beta * a.m,
-                                   _field_coeffs(alpha * beta, ps),
-                                   a.thetas, spec)
-    tower, logterm, qterm, pterm, mix = _hop_terms(params, a, ps, qd)
-    bias = -0.5 * beta * a.m * a.m
-    pressure = field + tower + logterm + qterm + pterm + mix + bias
-    return Evaluation(pressure=pressure,
-                      terms={"field": field, "response_tower": tower,
-                             "response_log": logterm, "overlap_source": qterm,
-                             "conjugate_source": pterm + mix,
-                             "bias_source": bias})
+    pressure, terms, failed = _pressure_block(
+        _lanes([params]), level_plan(a.thetas, spec), np.array([(a.m,) + a.qs]),
+        None if a.ps is None else [a.ps])
+    if failed:
+        raise failed[0]
+    terms = {name: float(v[0]) for name, v in terms.items()}
+    if params.alpha == 0.0:         # the one-body value, a plain float
+        return Evaluation(pressure=float(pressure[0]), terms={
+            "field": terms["field"], "load_terms": 0.0,
+            "bias_source": terms["bias_source"]})
+    return Evaluation(pressure=pressure[0], terms=terms)
 
 
 def hop_pressure_rs(params, m, q, p=None, spec=None):
@@ -174,42 +204,31 @@ def _sce_step(lanes, plan, x, ps=None):
     """The self-consistency map on a block of flat vectors
     [m, q_1..q_{k+1}] of admissible points, one row per lane, with
     per-lane constants from ``_lanes`` and the exponents fixed by
-    ``plan`` (unused at zero load).  Field coefficients come from the
-    rows of ``ps`` when given, else from the closed-form conjugates at
-    the incoming overlaps.
+    ``plan`` (None if every lane is at zero load).  Field coefficients
+    come from the rows of ``ps`` when given, else from ``_cascade``.
 
-    Returns the mapped block and a dict from row to the
-    ``DomainError`` that lane's conjugates raised, or the
-    ``NonFiniteIntegrand`` of its field (its row is NaN).  The
-    conjugates stay plain-float arithmetic, one lane at a time.
+    Returns the mapped block and a dict from row to the ``DomainError``
+    of that lane's cascade or the ``NonFiniteIntegrand`` of its field
+    (its row is NaN).  Zero-load lanes keep ``math.tanh`` (``np.tanh``
+    rounds differently) and enter the kernel with zero conjugates.
     """
-    out = np.full(x.shape, np.nan)
-    failed = {}
-    loaded, conj = [], []
-    for i, ((beta, alpha, _), row) in enumerate(zip(lanes.tolist(),
-                                                    x.tolist())):
-        if alpha == 0.0:
-            # no pattern layer: every plateau is the squared magnetization
-            m = math.tanh(beta * row[0])
-            out[i] = m * m
-            out[i, 0] = m
-            continue
-        if ps is not None:
-            conj.append(ps[i])
-        else:
-            q = row[1:]
-            try:
-                conj.append(_conjugates(beta, q,
-                                        _denominators(beta, q, plan.thetas)))
-            except DomainError as exc:
-                failed[i] = exc
-                continue
-        loaded.append(i)
-    if loaded:
-        out[loaded], bad = plan_moments(
-            plan, lanes[loaded, 0] * x[loaded, 0],
-            _field_coeffs(lanes[loaded, 2:], conj))
-        failed.update((loaded[i], exc) for i, exc in bad.items())
+    beta = lanes[:, 0]
+    free = np.flatnonzero(lanes[:, 1] == 0.0).tolist()
+    out, failed = np.empty(x.shape), {}
+    if len(free) < len(x):
+        if ps is None:
+            _, ps, failed = _cascade(beta, x[:, 1:], plan.thetas)
+        if free:
+            ps = np.array(ps, dtype=float)
+            ps[free] = 0.0
+        out, bad = plan_moments(plan, beta * x[:, 0],
+                                _field_coeffs(lanes[:, 2:], ps))
+        bad.update(failed)
+        failed = {i: exc for i, exc in bad.items() if i not in free}
+    for i in free:
+        m = math.tanh(beta[i] * x[i, 0])
+        out[i] = m * m
+        out[i, 0] = m
     return out, failed
 
 

@@ -14,14 +14,15 @@ whose tensor grid fits its budget.
 A ``LevelPlan`` fixes the exponents, nodes, weights and exponent ratios
 of one depth; ``plan_moments`` / ``plan_log_cosh`` evaluate on it, so a
 solver builds the plan once and every map application only builds the
-field.  ``plan_moments`` evaluates a block of lanes (fields) at once.
+field.  Both evaluate a block of lanes (fields) at once.
 The field is a sum of outer products, the transcendentals run in place
 and each level is integrated out with one row sum.
 Everything runs in the log domain with a max subtraction per reduction,
 so large arguments cannot overflow; that max is read off the two end
 nodes, since every level's log kernel is convex in its node.
 
-Both kernels walk the grid in chunks of outermost nodes of at most
+Both kernels walk the grid in chunks of outermost nodes (and of lanes,
+where one outer node of every lane is more) of at most
 ``_CHUNK_POINTS`` = 2^17 grid points, lanes included, so each float64
 temporary is 1 MB and stays in a 2 MB L2 cache, and peak memory is
 bounded by the chunk rather than the tensor.  The chunks are spread
@@ -281,32 +282,34 @@ def _cpu_count():
 
 
 def _by_outer_nodes(rows, lead, plan, offset, coeffs):
-    """``rows(offset, coeffs, nodes, plan.inner)`` on the whole grid,
-    evaluated in chunks of outermost nodes.
+    """``rows(offset, coeffs, nodes, plan.inner)`` on the whole grid of a
+    block of lanes, evaluated in chunks of lanes and outermost nodes.
 
     ``rows`` integrates out every interior level and returns an array
-    of shape ``lead + (len(nodes[0]),)``.  Each chunk holds at most
-    ``_CHUNK_POINTS`` grid points, lanes included (one outer node's
-    sub-grid if that alone is larger), and writes its slice of the last
-    axis.  Every step of ``rows`` is elementwise or a row sum over the
-    contiguous last axis, so each entry is bit for bit that of the
-    whole grid in one piece.  A grid of one chunk is ``rows`` called
-    once, on the whole grid.
+    of shape ``lead + (len(nodes[0]),)``, lanes on the second-to-last
+    axis.  Each chunk holds at most ``_CHUNK_POINTS`` grid points (one
+    lane's outer-node sub-grid if that alone is larger) and writes its
+    block of the last two axes.  Every step of ``rows`` is elementwise
+    or a row sum over the last axis, so each entry is bit for bit that
+    of the grid in one piece, which is what a grid of one chunk gets.
     """
     nodes = plan.nodes
-    points = len(offset) * plan.points
-    if points <= _CHUNK_POINTS:
+    lanes = len(offset)
+    if lanes * plan.points <= _CHUNK_POINTS:
         return rows(offset, coeffs, nodes, plan.inner)
     n0 = len(nodes[0])
-    size = max(1, _CHUNK_POINTS * n0 // points)
+    fit = _CHUNK_POINTS // (plan.points // n0)   # lanes of one outer node
+    size = max(1, fit // lanes)                 # outer nodes per chunk
+    width = max(1, min(lanes, fit))             # lanes per chunk
     out = np.empty(lead + (n0,))
 
     def run(spans):
-        for s in spans:
-            out[..., s] = rows(offset, coeffs, (nodes[0][s],) + nodes[1:],
-                               plan.inner)
+        for ls, ns in spans:
+            out[..., ls, ns] = rows(offset[ls], coeffs[ls],
+                                    (nodes[0][ns],) + nodes[1:], plan.inner)
 
-    _spread(run, [slice(lo, lo + size) for lo in range(0, n0, size)])
+    _spread(run, [(slice(a, a + width), slice(b, b + size))
+                  for a in range(0, lanes, width) for b in range(0, n0, size)])
     return out
 
 
@@ -342,16 +345,15 @@ def _spread(run, spans):
 
 
 def plan_log_cosh(plan, offset, coeffs):
-    """Hierarchical free-energy term on a prepared plan; see
-    ``nested_log_cosh_expect``."""
-    offset, coeffs = _check_field(offset, coeffs, len(plan.nodes))
-    logn = _by_outer_nodes(_log_cosh_rows, (), plan, np.array([offset]),
-                           coeffs[None])
-    th1 = plan.thetas[0] if plan.thetas else 1.0
-    value = float(np.dot(plan.weights[0], logn) / th1)
-    if not math.isfinite(value):
-        raise NonFiniteIntegrand("nested average is not finite")
-    return value
+    """Hierarchical free-energy terms of a block of lanes on a prepared
+    plan, one per lane, and a dict from row to the ``NonFiniteIntegrand``
+    of each lane whose field or value is not finite (its value is NaN);
+    see ``nested_log_cosh_expect``.  Lanes are laid out, chunked and kept
+    apart as in ``plan_moments``, so a lane's value is bit for bit what
+    a block of one gives, even with no lanes at all.
+    """
+    return _finite_lanes(_log_cosh, plan, offset, coeffs, (),
+                         "field or nested average is not finite")
 
 
 def plan_moments(plan, offset, coeffs):
@@ -369,26 +371,49 @@ def plan_moments(plan, offset, coeffs):
     vectors; a matrix-vector product would not), so a lane's row is bit
     for bit what a block of one gives.
     """
-    if np.isfinite(offset).all() and np.isfinite(coeffs).all():
-        out = _moments(plan, offset, coeffs)
-    else:
-        finite = np.isfinite(offset) & np.isfinite(coeffs).all(axis=1)
-        out = np.full((len(finite), coeffs.shape[1] + 1), np.nan)
-        if finite.any():
-            out[finite] = _moments(plan, offset[finite], coeffs[finite])
-    failed = {}
-    if not np.isfinite(out).all():
-        bad = ~np.isfinite(out).all(axis=1)
-        out[bad] = np.nan
-        failed = {i: NonFiniteIntegrand("field or nested moment is not finite")
-                  for i in np.flatnonzero(bad).tolist()}
+    out, failed = _finite_lanes(_moments, plan, offset, coeffs,
+                                (coeffs.shape[1] + 1,),
+                                "field or nested moment is not finite")
     # the finite outputs are clipped as min(hi, max(lo, v)), plateaus
     # outermost first and made non-decreasing
-    x = np.empty(out.shape)
-    np.minimum(np.maximum(out[:, 0], -1.0), 1.0, out=x[:, 0])
-    np.maximum.accumulate(np.minimum(np.maximum(out[:, :0:-1], 0.0), 1.0),
-                          axis=1, out=x[:, 1:])
+    lo = np.zeros(out.shape[1])
+    lo[0] = -1.0
+    x = np.minimum(np.maximum(out, lo), 1.0)
+    if out.shape[1] > 2:
+        x[:, 1:] = np.maximum.accumulate(x[:, :0:-1], axis=1)
     return x, failed
+
+
+def _finite_lanes(kernel, plan, offset, coeffs, shape, what):
+    """``kernel(plan, offset, coeffs)`` on the lanes with a finite field,
+    one row of ``shape`` each (NaN for the others), and a dict from row
+    to a ``NonFiniteIntegrand(what)`` for each lane whose field or row is
+    not finite."""
+    lanes = len(offset)
+    if not lanes:
+        return np.empty((0,) + shape), {}
+    if np.isfinite(offset).all() and np.isfinite(coeffs).all():
+        out = kernel(plan, offset, coeffs)
+    else:
+        finite = np.isfinite(offset) & np.isfinite(coeffs).all(axis=1)
+        out = np.full((lanes,) + shape, np.nan)
+        if finite.any():
+            out[finite] = kernel(plan, offset[finite], coeffs[finite])
+    failed = {}
+    if not np.isfinite(out).all():
+        bad = ~np.isfinite(out.reshape(lanes, -1)).all(axis=1)
+        out[bad] = np.nan
+        failed = {i: NonFiniteIntegrand(what)
+                  for i in np.flatnonzero(bad).tolist()}
+    return out, failed
+
+
+def _log_cosh(plan, offset, coeffs):
+    """The nested averages of a block of lanes with finite fields."""
+    logn = _by_outer_nodes(_log_cosh_rows, (len(offset),), plan, offset,
+                           coeffs)
+    th1 = plan.thetas[0] if plan.thetas else 1.0
+    return np.vecdot(logn, plan.weights[0]) / th1
 
 
 def _moments(plan, offset, coeffs):
@@ -400,9 +425,9 @@ def _moments(plan, offset, coeffs):
 
 
 def _log_cosh_rows(offset, coeffs, nodes, inner):
-    """The log kernel of the one lane's field on the outermost level's
+    """The log kernel of a block of lanes on the outermost level's
     ``nodes[0]``, every interior level integrated out."""
-    g = _field_tensor(offset, coeffs, nodes)[0]
+    g = _field_tensor(offset, coeffs, nodes)
     logn = _log2cosh(g, np.empty_like(g))
     for w, r in inner:             # integrate out a level
         mx = _reweight(logn, r, w)
@@ -445,7 +470,7 @@ def nested_log_cosh_expect(offset, coeffs, thetas=(), spec=None):
     the ratio of adjacent weight exponents, and the outermost level
     averages (1/theta_1) * log of the result.
     """
-    return plan_log_cosh(level_plan(thetas, spec), offset, coeffs)
+    return float(_block_of_one(plan_log_cosh, offset, coeffs, thetas, spec))
 
 
 def nested_moments(offset, coeffs, thetas=(), spec=None):
@@ -461,9 +486,15 @@ def nested_moments(offset, coeffs, thetas=(), spec=None):
     made non-decreasing: the map preserves both exactly, so this only
     absorbs rounding at the last digit.
     """
+    x = _block_of_one(plan_moments, offset, coeffs, thetas, spec)
+    return float(x[0]), tuple(x[1:].tolist())
+
+
+def _block_of_one(kernel, offset, coeffs, thetas, spec):
+    """A plan kernel on a block of one checked field; raises its failure."""
     plan = level_plan(thetas, spec)
     offset, coeffs = _check_field(offset, coeffs, len(plan.nodes))
-    x, failed = plan_moments(plan, np.array([offset]), coeffs[None])
+    out, failed = kernel(plan, np.array([offset]), coeffs[None])
     if failed:
         raise failed[0]
-    return float(x[0, 0]), tuple(x[0, 1:].tolist())
+    return out[0]

@@ -15,13 +15,14 @@ from dataclasses import replace
 import numpy as np
 
 from .core import Evaluation, RsbAnsatz, SkParams, validate_ansatz
-from .quadrature import level_plan, nested_log_cosh_expect, plan_moments
+from .quadrature import level_plan, plan_log_cosh, plan_moments
 
 
 def _lanes(params_seq):
-    """Per-lane map constants (beta j0, beta j) of a block of points."""
-    return np.array([(p.beta * p.j0, p.beta * p.j) for p in params_seq],
-                    dtype=float)
+    """Per-lane constants (beta j0, beta j, beta, j0) of a block of
+    points; the map reads the first two."""
+    return np.array([(p.beta * p.j0, p.beta * p.j, p.beta, p.j0)
+                     for p in params_seq], dtype=float)
 
 
 def _field(lanes, x):
@@ -46,11 +47,21 @@ def _flat(ansatz):
     return np.array([(ansatz.m,) + ansatz.qs])
 
 
-def _overlap_source(params, ansatz):
-    q = np.asarray(ansatz.qs, dtype=float)
-    th = np.concatenate([[0.0], np.asarray(ansatz.thetas, dtype=float), [1.0]])
-    bracket = 1.0 - 2.0 * q[-1] + float(np.dot(np.diff(th), q ** 2))
-    return 0.25 * (params.beta * params.j) ** 2 * bracket
+def _pressure_block(lanes, plan, x):
+    """Pressures, their terms and a dict from row to each failed lane's
+    ``NonFiniteIntegrand`` for a block of admissible flat vectors, as
+    ``_sce_step`` takes them.  Each term keeps the one-point formula's
+    operation order (the square by ``np.float_power``, which rounds as
+    Python's ``** 2``): a lane's pressure is bit for bit a block of one's.
+    """
+    field, failed = plan_log_cosh(plan, *_field(lanes, x))
+    q = x[:, 1:]
+    dth = np.diff((0.0,) + plan.thetas + (1.0,))
+    bracket = 1.0 - 2.0 * q[:, -1] + np.vecdot(q * q, dth)
+    overlap = 0.25 * np.float_power(lanes[:, 1], 2) * bracket
+    bias = -0.5 * lanes[:, 2] * lanes[:, 3] * x[:, 0] * x[:, 0]
+    terms = {"field": field, "overlap_source": overlap, "bias_source": bias}
+    return field + overlap + bias, terms, failed
 
 
 def sk_pressure_rs(params, m, q, spec=None):
@@ -69,18 +80,18 @@ def sk_pressure_krsb(params, ansatz, spec=None):
     """Hierarchical trial pressure at a depth-k ansatz.
 
     The nested field average already carries the log 2 of the innermost
-    kernel, so at zero coupling the value is exactly log 2.
+    kernel, so at zero coupling the value is exactly log 2.  This is
+    ``_pressure_block`` on a block of one.
     """
     if not isinstance(params, SkParams):
         raise TypeError("params must be SkParams")
     a = validate_ansatz(ansatz)
-    offset, coeffs = _field(_lanes([params]), _flat(a))
-    field = nested_log_cosh_expect(offset[0], coeffs[0], a.thetas, spec)
-    overlap = _overlap_source(params, a)
-    bias = -0.5 * params.beta * params.j0 * a.m * a.m
-    return Evaluation(pressure=field + overlap + bias,
-                      terms={"field": field, "overlap_source": overlap,
-                             "bias_source": bias})
+    pressure, terms, failed = _pressure_block(
+        _lanes([params]), level_plan(a.thetas, spec), _flat(a))
+    if failed:
+        raise failed[0]
+    return Evaluation(pressure=pressure[0],
+                      terms={name: float(v[0]) for name, v in terms.items()})
 
 
 def sk_sce_krsb(params, ansatz, spec=None):

@@ -137,19 +137,18 @@ def _projection(k, width=None):
 _STALL_WINDOW = 300
 
 
-def _iterate(step, x, opts, project=None):
+def _iterate(step, x, opts, project=None, consts=None):
     """The damped loop over a block of lanes.
 
-    ``x`` holds one flat start vector per lane and ``step(rows, xs)``
-    maps the iterates ``xs`` of the block rows ``rows`` still running,
-    returning the mapped rows and a dict from position in ``xs`` to the
-    ``DomainError`` or ``NonFiniteIntegrand`` of each lane whose map
-    failed.  Every lane keeps its own damping factor, stall counter and
-    residual history, and leaves the block when it converges, fails or
-    goes non-finite, so each lane's numbers are those of a block of
-    one.  Returns one SolveReport
-    per lane; its ``ansatz`` is the last point the map was evaluated at,
-    or the next damped step when the iteration cap stops the lane.
+    ``x`` holds one flat start vector per lane and ``step(c, xs)`` maps
+    the iterates ``xs`` of the running lanes, ``c`` being their rows of
+    ``consts`` (default: lane numbers, re-sliced only as lanes leave),
+    into the mapped rows and a dict from position to the ``DomainError``
+    or ``NonFiniteIntegrand`` of each failed lane.  Each lane keeps its
+    own damping, stall counter and residual history, and leaves when it
+    converges, fails or goes non-finite, so its numbers are those of a
+    block of one.  Returns one SolveReport per lane; its ``ansatz`` is
+    the last point mapped, or the next damped step at the cap.
     """
     lanes = len(x)
     final = x.copy()
@@ -157,18 +156,26 @@ def _iterate(step, x, opts, project=None):
     converged = np.zeros(lanes, dtype=bool)
     errors = [None] * lanes
     floor = opts.damping / 32.0
-    # per running lane, aligned with ``rows``
+    # per running lane, aligned with ``rows``: damping as a column and
+    # its complement, best residual, and the iteration that last
+    # improved on it or halved the damping
     rows = np.arange(lanes)
-    gamma = np.full(lanes, opts.damping)
+    consts = rows if consts is None else consts
+    gamma = np.full((lanes, 1), opts.damping)
+    rest = 1.0 - gamma
     best = np.full(lanes, math.inf)
-    since_best = np.zeros(lanes, dtype=int)
+    mark = np.zeros(lanes, dtype=int)
+    due = _STALL_WINDOW             # no lane can stall before this
     trace = []                      # (rows, residuals) per iteration
     for it in range(1, opts.max_iter + 1):
-        fx, failed = step(rows, x)
-        residual = np.max(np.abs(fx - x), axis=1)
-        finite = np.isfinite(residual)
-        stop = ~finite | (residual <= opts.tol)
-        if failed:
+        fx, failed = step(consts, x)
+        d = fx - x
+        residual = np.abs(d, out=d).max(axis=1)
+        # the common step: every lane runs on (NaN fails the first test)
+        if (failed or not residual.min() > opts.tol
+                or residual.max() == math.inf):
+            finite = np.isfinite(residual)
+            stop = ~finite | (residual <= opts.tol)
             ok = np.ones(len(rows), dtype=bool)
             for i, exc in failed.items():
                 ok[i] = False
@@ -176,10 +183,6 @@ def _iterate(step, x, opts, project=None):
             trace.append((rows[ok], residual[ok]))
             stop &= ok
             left = stop | ~ok
-        else:
-            trace.append((rows, residual))
-            left = stop
-        if left.any():
             gone = rows[left]
             converged[rows[stop]] = finite[stop]
             for lane in rows[stop & ~finite]:
@@ -190,18 +193,24 @@ def _iterate(step, x, opts, project=None):
             if not keep.any():
                 break
             rows, x, fx, residual = rows[keep], x[keep], fx[keep], residual[keep]
-            gamma, best, since_best = gamma[keep], best[keep], since_best[keep]
-        # a residual that stops improving halves the lane's damping
+            consts, gamma, rest = consts[keep], gamma[keep], rest[keep]
+            best, mark = best[keep], mark[keep]
+        else:
+            trace.append((rows, residual))
+        # a residual that stops improving for _STALL_WINDOW iterations
+        # halves the lane's damping
         better = residual < 0.99 * best
-        best = np.where(better, residual, best)
-        since_best += 1
-        since_best[better] = 0
-        halve = (since_best >= _STALL_WINDOW) & (gamma > floor)
-        if halve.any():
-            gamma = np.where(halve, gamma * 0.5, gamma)
-            since_best[halve] = 0
-        g = gamma[:, None]
-        x = (1.0 - g) * x + g * fx
+        np.copyto(best, residual, where=better)
+        np.copyto(mark, it, where=better)
+        if it >= due:
+            halve = (it - mark >= _STALL_WINDOW) & (gamma[:, 0] > floor)
+            if halve.any():
+                gamma[halve] *= 0.5
+                rest = 1.0 - gamma
+                mark[halve] = it
+            due = _STALL_WINDOW + np.min(mark[gamma[:, 0] > floor],
+                                         initial=opts.max_iter)
+        x = rest * x + gamma * fx
         if project is not None:
             x = project(x)
     else:
@@ -252,7 +261,7 @@ def damped_fixed_point(f, x0, options=None):
 
 def _one_lane(f):
     """A map of one flat vector as a block step over a single lane."""
-    def step(rows, x):
+    def step(_, x):
         try:
             return f(x[0])[None], {}
         except DomainError as exc:
@@ -267,65 +276,75 @@ def stationarity_check(pressure_fn, ansatz, step=1e-5):
     Central differences by default; an inadmissible perturbation first
     halves the step (up to eight times), then falls back to a one-sided
     second-order stencil so points on the admissible boundary still get
-    checked.
+    checked.  This is the one-point case of ``_gradient``.
     """
-    coords = 1 + len(ansatz.qs)
-    inadmissible = (DomainError, RangeViolation, OrderingViolation)
-
     def at(vec):
         return pressure_fn(replace(ansatz, m=float(vec[0]),
                                    qs=tuple(vec[1:])))
 
-    def probe(i, offset):
-        vec = base.copy()
-        vec[i] += offset
-        try:
-            return at(vec)
-        except inadmissible:
-            return None
+    def values(_, rows):
+        out = []
+        for vec in rows:
+            try:
+                out.append(at(vec))
+            except (DomainError, RangeViolation, OrderingViolation):
+                out.append(math.nan)
+        return np.array(out)
 
     base = np.concatenate([[ansatz.m], ansatz.qs])
-    f0 = None
-    grad = np.zeros(coords)
-    for i in range(coords):
-        delta = float(step)
-        value = None
-        for _ in range(9):
-            hi = probe(i, delta)
-            lo = probe(i, -delta)
-            if hi is not None and lo is not None:
-                value = (hi - lo) / (2.0 * delta)
-                break
-            if hi is not None or lo is not None:
-                sign = 1.0 if hi is not None else -1.0
-                near = hi if hi is not None else lo
-                far = probe(i, 2.0 * sign * delta)
-                if far is not None:
-                    if f0 is None:
-                        f0 = at(base)
-                    value = sign * (-3.0 * f0 + 4.0 * near - far) / (2.0 * delta)
-                    break
-            delta *= 0.5
-        if value is None:
-            raise RangeViolation(
-                "no admissible finite-difference stencil for coordinate %d" % i)
-        grad[i] = value
+    grad = _gradient(values, base[None], lambda _: at(base), step)[0]
+    missing = np.flatnonzero(np.isnan(grad))
+    if len(missing):
+        raise RangeViolation("no admissible finite-difference stencil for "
+                             "coordinate %d" % missing[0])
     return float(np.max(np.abs(grad)))
 
 
-def _pressure_fn(model, params, spec):
-    if model == "sk":
-        return lambda a: _sk.sk_pressure_krsb(params, a, spec).pressure
-    # conjugate plateaus stay eliminated so the check differentiates the
-    # reduced functional
-    return lambda a: _hop.hop_pressure_krsb(
-        params, replace(a, ps=None), spec).pressure
+def _gradient(values, x, base, step):
+    """The finite-difference gradients of ``stationarity_check`` at every
+    row of ``x`` at once, NaN where no stencil is admissible.
+
+    ``values(lane, rows)`` gives the pressures of points ``rows`` near
+    the rows ``lane`` of ``x`` (NaN outside the admissible set) and
+    ``base(lane)`` those at the rows themselves.  Each entry takes the
+    central stencil, else the one-sided one toward the admissible side,
+    at the first of nine halving steps where one is admissible.
+    """
+    n, w = x.shape
+    grad = np.full((n, w), np.nan)
+    lane, axis = np.repeat(np.arange(n), w), np.tile(np.arange(w), n)
+
+    def at(lane, axis, offset):
+        rows = x[lane]
+        rows[np.arange(len(lane)), axis] += offset
+        return values(lane, rows)
+
+    delta = float(step)
+    for _ in range(9):
+        hi, lo = at(lane, axis, delta), at(lane, axis, -delta)
+        g = (hi - lo) / (2.0 * delta)
+        one = np.flatnonzero(np.isnan(hi) != np.isnan(lo))
+        if len(one):
+            sign = np.where(np.isnan(hi[one]), -1.0, 1.0)
+            near = np.where(np.isnan(hi[one]), lo[one], hi[one])
+            far = at(lane[one], axis[one], 2.0 * sign * delta)
+            keep = ~np.isnan(far)
+            one, sign, near, far = one[keep], sign[keep], near[keep], far[keep]
+            g[one] = sign * (-3.0 * base(lane[one]) + 4.0 * near - far) / (
+                2.0 * delta)
+        done = ~np.isnan(g)
+        grad[lane[done], axis[done]] = g[done]
+        lane, axis = lane[~done], axis[~done]
+        if not len(lane):
+            break
+        delta *= 0.5
+    return grad
 
 
-# the map on blocks of flat vectors [m, q_1..q_{k+1}] and the per-lane
-# constants it reads, keyed like _pressure_fn
-_SCE_STEPS = {"sk": (_sk._sce_step, _sk._lanes),
-              "hopfield": (_hop._sce_step, _hop._lanes)}
+# the map and the pressure on blocks of flat vectors [m, q_1..q_{k+1}]
+# and the per-lane constants they read, keyed by model
+_BLOCKS = {"sk": (_sk._sce_step, _sk._pressure_block, _sk._lanes),
+           "hopfield": (_hop._sce_step, _hop._pressure_block, _hop._lanes)}
 
 
 def default_starts(model, params, k, thetas=(), multistart=True):
@@ -372,8 +391,9 @@ def solve_grid(model, params_seq, k=0, thetas=(), spec=None, options=None,
     lanes are independent, so each report is bit for bit the one a
     separate solve of that point and start gives.  Lanes per block are
     capped so that lanes times grid points stays within
-    ``spec.max_tensor_points``.  ``starts`` (default: ``default_starts``
-    of each point) applies to every point.
+    ``spec.max_tensor_points``; the pressures and stationarity checks of
+    a block are block pressure calls too (``_finish``).  ``starts``
+    (default: ``default_starts`` of each point) applies to every point.
     """
     opts = _DEFAULT_OPTIONS if options is None else options
     spec = spec if spec is not None else QuadratureSpec()
@@ -392,36 +412,34 @@ def solve_grid(model, params_seq, k=0, thetas=(), spec=None, options=None,
                 # the map iterates with slaved conjugates
                 start = replace(start, ps=None)
             lanes.append((p, i, start))
-    if model not in _SCE_STEPS:
+    if model not in _BLOCKS:
         raise RangeViolation("model must be 'sk' or 'hopfield', got %r"
                              % model)
-    step, constants = _SCE_STEPS[model]
+    step, _, constants = _BLOCKS[model]
     # one plan per distinct exponent set (a caller's start may carry its
     # own), then blocks of lanes that share it
     groups = {}
     for lane, (_, _, start) in enumerate(lanes):
         groups.setdefault(start.thetas, []).append(lane)
-    iterated = [None] * len(lanes)
-    nodes = [None] * len(lanes)
+    done = [None] * len(lanes)
     for th, members in groups.items():
         plan = level_plan(th, spec)
         size = max(1, spec.max_tensor_points // plan.points)
         project = _projection(len(th))
         for b in range(0, len(members), size):
             block = members[b:b + size]
-            consts = constants([points[lanes[j][0]] for j in block])
+            params = [points[lanes[j][0]] for j in block]
+            consts = constants(params)
             x0 = np.array([(lanes[j][2].m,) + lanes[j][2].qs for j in block])
-            reps = _iterate(
-                lambda rows, x, c=consts, pl=plan: step(c[rows], pl, x),
-                x0, opts, project)
+            reps = _iterate(lambda c, x, plan=plan: step(c, plan, x), x0,
+                            opts, project, consts)
+            reps = _finish(model, params, plan, consts,
+                           [lanes[j][1:] for j in block], reps)
             for j, rep in zip(block, reps):
-                iterated[j] = rep
-                nodes[j] = len(plan.nodes[0])
+                done[j] = rep
     out = [[] for _ in points]
-    for (p, i, start), rep, n in zip(lanes, iterated, nodes):
-        rep = rep.with_fields(start=i, nodes=n, ansatz=replace(
-            start, m=rep.ansatz[0], qs=rep.ansatz[1:]))
-        out[p].append(_finish(model, points[p], spec, rep))
+    for (p, _, _), rep in zip(lanes, done):
+        out[p].append(rep)
     for reports in out:
         reports.sort(key=lambda r: (r.pressure is None,
                                     -(r.pressure if r.pressure is not None
@@ -429,44 +447,86 @@ def solve_grid(model, params_seq, k=0, thetas=(), spec=None, options=None,
     return [_dedupe(reports) for reports in out]
 
 
-def _finish(model, params, spec, rep):
-    """Pressure, stationarity and closed-form conjugates of one iterated
-    lane."""
-    pfn = _pressure_fn(model, params, spec)
-    pressure = None
-    stat = None
-    if rep.error is None:
-        try:
-            pressure = pfn(rep.ansatz)
-        except DomainError as exc:
-            rep = rep.with_fields(error="%s: %s" % (type(exc).__name__, exc),
-                                  converged=False)
-    if rep.converged:
-        try:
-            stat = stationarity_check(pfn, rep.ansatz)
-        except (DomainError, RangeViolation, OrderingViolation):
-            stat = None
-    if model == "hopfield" and params.alpha > 0.0:
-        try:
-            rep = rep.with_fields(ansatz=replace(
-                rep.ansatz, ps=_hop.hop_p_closed_form(params, rep.ansatz)))
-        except DomainError:
-            pass
-    return rep.with_fields(pressure=pressure, stationarity=stat)
+# stationarity_check's default step, and the largest gradient of a
+# branch flagged stationary
+_STEP = 1e-5
+_STATIONARY = 1e-5
+
+
+def _finish(model, params, plan, consts, starts, reps):
+    """Pressure, stationarity and closed-form conjugates of a block of
+    iterated lanes, as ``solve_grid`` reports them; ``params``,
+    ``consts`` and ``starts`` hold each lane's point, constants and
+    (start index, start).  The pressures and every stencil of
+    ``_gradient`` are block pressure calls, each row bit for bit the
+    public pressure, so every number is that of ``stationarity_check``
+    on the lane.  ``stationary`` flags a gradient within 1e-5.
+    """
+    x = np.array([rep.ansatz for rep in reps])
+    base = [i for i, rep in enumerate(reps) if rep.error is None]
+    pressure = np.full(len(x), np.nan)
+    size = len(x)
+    pressure[base], failed = _pressures(model, plan, consts[base], x[base],
+                                        size)
+    errors = {base[r]: "%s: %s" % (type(exc).__name__, exc)
+              for r, exc in failed.items()}
+    conv = [i for i in base if reps[i].converged and i not in errors]
+    grads = np.full(len(x), np.nan)
+    if conv:
+        def values(lane, rows):
+            return _pressures(model, plan, consts[conv][lane], rows, size)[0]
+        grads[conv] = np.abs(_gradient(values, x[conv], pressure[conv].take,
+                                       _STEP)).max(axis=1)
+    conj = {}
+    if model == "hopfield":
+        _, ps, failed = _hop._cascade(consts[:, 0], x[:, 1:], plan.thetas)
+        conj = {i: tuple(ps[i].tolist()) for i, p in enumerate(params)
+                if p.alpha > 0.0 and i not in failed}
+    out = []
+    for i, ((index, start), rep) in enumerate(zip(starts, reps)):
+        ansatz = replace(start, m=x[i, 0], qs=x[i, 1:],
+                         ps=conj.get(i, start.ps))
+        error = errors.get(i, rep.error)
+        p = None if error is not None else pressure[i]
+        if p is not None and model == "hopfield" and params[i].alpha == 0.0:
+            p = float(p)            # the one-body value is a plain float
+        stat = None if math.isnan(grads[i]) else float(grads[i])
+        out.append(rep.with_fields(
+            ansatz=ansatz, start=index, nodes=len(plan.nodes[0]),
+            pressure=p, stationarity=stat, error=error,
+            converged=rep.converged and i not in errors,
+            stationary=None if stat is None else stat <= _STATIONARY))
+    return out
+
+
+def _pressures(model, plan, consts, rows, size):
+    """Block pressures of flat points: NaN outside the admissible set
+    and where the pressure raises a ``DomainError``, returned by row;
+    any other failure is raised.  Each call takes at most ``size`` rows,
+    the lanes of an iteration step, so it holds no more grid points."""
+    m, q = rows[:, 0], rows[:, 1:]
+    ok = np.flatnonzero((np.abs(m) <= 1.0) & (q[:, 0] >= 0.0)
+                        & (q[:, -1] <= 1.0) & (np.diff(q) >= 0.0).all(axis=1))
+    values = np.full(len(rows), np.nan)
+    errors = {}
+    for part in (ok[a:a + size] for a in range(0, len(ok), size)):
+        values[part], _, failed = _BLOCKS[model][1](consts[part], plan,
+                                                    rows[part])
+        for r, exc in failed.items():
+            if not isinstance(exc, DomainError):
+                raise exc
+            errors[int(part[r])] = exc
+    return values, errors
 
 
 def _dedupe(reports, tol=1e-7):
     kept = []
     for rep in reports:
-        duplicate = False
-        for other in kept:
-            if (rep.converged and other.converged
-                    and isinstance(rep.ansatz, RsbAnsatz)
-                    and np.max(np.abs(_flatten(rep.ansatz)
-                                      - _flatten(other.ansatz))) < tol):
-                duplicate = True
-                break
-        if not duplicate:
+        if not any(rep.converged and other.converged
+                   and isinstance(rep.ansatz, RsbAnsatz)
+                   and np.max(np.abs(_flatten(rep.ansatz)
+                                     - _flatten(other.ansatz))) < tol
+                   for other in kept):
             kept.append(rep)
     return kept
 

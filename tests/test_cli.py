@@ -32,6 +32,7 @@ def test_solve_emits_sorted_json(runner):
     branch = payload[0]
     assert list(branch) == sorted(branch)
     assert branch["converged"] is True
+    assert branch["stationary"] is True
     assert branch["ansatz"]["k"] == 0
 
 

@@ -1,5 +1,7 @@
-"""The benchmark's own output checks, seed-0 pins included, on one pass
-of the workloads whose outputs are pinned bit for bit or to 1e-9."""
+"""The benchmark's own output checks, seed-0 pins included, on two passes
+of every workload: an item fails, as in a benchmark run, when it raises,
+when its output fails the workload's check or when it changes between
+the passes."""
 
 import json
 import subprocess
@@ -11,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 # run from perfbench/ so its modules import as the benchmark imports them
-ONE_PASS = r"""
+TWO_PASSES = r"""
 import json, sys
 import package
 from run import check_outputs
@@ -19,18 +21,28 @@ from workloads import DEFAULT_SEED, WORKLOADS
 rsb = package.load()
 wl = WORKLOADS[sys.argv[1]]
 items = wl.items(DEFAULT_SEED)
-results = [(i, 0.0, 0.0, wl.call(rsb, item), None)
-           for i, item in enumerate(items)]
+
+
+def run(i, item):
+    try:
+        return (i, 0.0, 0.0, wl.call(rsb, item), None)
+    except Exception as exc:
+        return (i, 0.0, 0.0, None, "%s: %s" % (type(exc).__name__, exc))
+
+
+passes = [(False, [run(i, item) for i, item in enumerate(items)])
+          for _ in range(2)]
 attempted, failed, problems, run_problems = check_outputs(
-    wl, items, [(False, results)], DEFAULT_SEED)
+    wl, items, passes, DEFAULT_SEED)
 print(json.dumps({"attempted": attempted, "failed": failed,
                   "problems": problems + run_problems}))
 """
 
 
-@pytest.mark.parametrize("workload", ["finite_size", "rsb_solve"])
+@pytest.mark.parametrize("workload", ["finite_size", "rsb_solve", "rs_sweep",
+                                      "pressure_landscape"])
 def test_benchmark_pins_hold_at_seed_zero(workload):
-    proc = subprocess.run([sys.executable, "-c", ONE_PASS, workload],
+    proc = subprocess.run([sys.executable, "-c", TWO_PASSES, workload],
                           cwd=ROOT / "perfbench", capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -305,6 +305,31 @@ def _one_chunk(monkeypatch):
     monkeypatch.setattr(quadrature, "_CHUNK_POINTS", 1 << 62)
 
 
+@pytest.mark.parametrize("kernel", ["plan_moments", "plan_log_cosh"])
+def test_lanes_split_when_one_outer_node_overflows_a_chunk(kernel, monkeypatch):
+    # a chunk of 3 lanes' outer-node sub-grids: 7 lanes go in 3 groups,
+    # no chunk exceeds the budget, every point is walked once and the
+    # numbers are the one-chunk numbers
+    plan = quadrature.level_plan((0.4,), QuadratureSpec(nodes_per_level=20))
+    rng = np.random.default_rng(61)
+    offset, coeffs = rng.normal(size=7), rng.uniform(0.0, 2.0, (7, 2))
+    fn = getattr(quadrature, kernel)
+    _one_chunk(monkeypatch)
+    want, _ = fn(plan, offset, coeffs)
+    points = []
+    build = quadrature._field_tensor
+
+    def counted(offset, coeffs, nodes):
+        points.append(len(offset) * math.prod(len(x) for x in nodes))
+        return build(offset, coeffs, nodes)
+
+    monkeypatch.setattr(quadrature, "_field_tensor", counted)
+    _chunked(monkeypatch, 3 * 20, 2)
+    got, failed = fn(plan, offset, coeffs)
+    assert got.tobytes() == want.tobytes() and not failed
+    assert max(points) <= 3 * 20 and sum(points) == 7 * 20 * 20
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_chunked_grid_is_walked_once(k, monkeypatch):
     points = []
@@ -335,12 +360,14 @@ def test_chunked_log_cosh_is_bitwise(k, nodes, monkeypatch):
     rng = np.random.default_rng(40 + k)
     plan = quadrature.level_plan(tuple(np.sort(rng.uniform(0.1, 0.9, k))),
                                  QuadratureSpec(nodes_per_level=nodes))
-    fields = [(rng.normal(), rng.uniform(0.0, 2.0, k + 1)) for _ in range(3)]
+    offset = rng.normal(size=3)
+    coeffs = rng.uniform(0.0, 2.0, (3, k + 1))
     _one_chunk(monkeypatch)
-    want = [quadrature.plan_log_cosh(plan, *f) for f in fields]
+    want, _ = quadrature.plan_log_cosh(plan, offset, coeffs)
     for cpus in (1, 2, 3):
-        _chunked(monkeypatch, 7 * nodes ** k, cpus)
-        assert [quadrature.plan_log_cosh(plan, *f) for f in fields] == want
+        _chunked(monkeypatch, 7 * 3 * nodes ** k, cpus)
+        got, failed = quadrature.plan_log_cosh(plan, offset, coeffs)
+        assert got.tobytes() == want.tobytes() and not failed
 
 
 @pytest.mark.parametrize("k,nodes", CHUNKED_PLANS)
@@ -613,3 +640,13 @@ def test_large_field_cannot_overflow():
     # each level's log-average is at least its plain average (Jensen),
     # and E log 2cosh(g) >= |E g|
     assert value >= 300.0
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_blocks_of_no_lanes(k):
+    plan = quadrature.level_plan(tuple(np.linspace(0.3, 0.7, k)),
+                                 QuadratureSpec(nodes_per_level=16))
+    x, failed = quadrature.plan_moments(plan, np.zeros(0), np.zeros((0, k + 1)))
+    assert x.shape == (0, k + 2) and failed == {}
+    v, failed = quadrature.plan_log_cosh(plan, np.zeros(0), np.zeros((0, k + 1)))
+    assert v.shape == (0,) and failed == {}

@@ -273,6 +273,22 @@ def test_solve_report_names_its_start():
     assert damped_fixed_point(np.cos, 0.3).start is None
 
 
+def test_non_stationary_branch_is_flagged():
+    # at beta=4, alpha=0.1 on 80 nodes the field scale outruns the rule:
+    # the cold start converges to a glass point whose pressure gradient
+    # is 1.53, while the retrieval branch is stationary to 2.6e-8
+    reports = solve_model("hopfield", HopfieldParams(beta=4.0, alpha=0.1))
+    by_start = {r.start: r for r in reports}
+    assert all(r.converged for r in reports) and set(by_start) == {0, 1}
+    glass, retrieval = by_start[1], by_start[0]
+    assert abs(glass.ansatz.m) < 1e-12 and glass.stationarity > 1.0
+    assert glass.stationary is False
+    assert retrieval.stationarity < 1e-7 and retrieval.stationary is True
+    failed = solve_model("sk", SkParams(beta=1.6, j0=0.3),
+                         options=SolverOptions(max_iter=1))
+    assert [r.stationary for r in failed] == [None] * len(failed)
+
+
 @pytest.mark.parametrize("k,nodes", [(0, 80), (1, 80), (2, 80), (3, 32)])
 def test_solve_report_names_its_node_count(k, nodes):
     # the default budget of 2^20 grid points fits 80 nodes up to k=2
@@ -370,3 +386,39 @@ def test_grid_propagates_non_finite_field():
 
 def test_grid_of_no_points_is_empty():
     assert solve_grid("sk", []) == []
+
+
+def _damped_transcription(f, x, damping, tol=1e-10, max_iter=20000):
+    """The damped loop of one scalar lane in plain floats: the damping
+    halves after 300 iterations without a 1 % better residual, down to
+    1/32 of its start."""
+    gamma, best, since, history = damping, math.inf, 0, []
+    for it in range(1, max_iter + 1):
+        fx = f(x)
+        residual = abs(fx - x)
+        history.append(residual)
+        if not math.isfinite(residual) or residual <= tol:
+            return x, it, history
+        if residual < 0.99 * best:
+            best, since = residual, 0
+        else:
+            since += 1
+        if since >= 300 and gamma > damping / 32.0:
+            gamma, since = gamma * 0.5, 0
+        x = (1.0 - gamma) * x + gamma * fx
+    return x, max_iter, history
+
+
+@pytest.mark.parametrize("f,x0,damping,max_iter", [
+    (lambda x: 1.0 - x, 0.2, 1.0, 20000),             # one halving
+    (lambda x: 3.99 * x * (1.0 - x), 0.3, 1.0, 4000),  # chaotic at first
+    (lambda x: -1.9 * x + 0.3, 0.2, 0.9, 3000),        # down to the floor
+])
+def test_damping_halves_as_the_one_lane_loop(f, x0, damping, max_iter):
+    x, iterations, history = _damped_transcription(f, x0, damping,
+                                                   max_iter=max_iter)
+    rep = damped_fixed_point(f, x0, SolverOptions(damping=damping,
+                                                  max_iter=max_iter))
+    assert rep.iterations == iterations
+    assert rep.residual_history == tuple(history)
+    assert np.float64(rep.ansatz).tobytes() == np.float64(x).tobytes()
