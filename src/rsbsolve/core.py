@@ -212,7 +212,9 @@ class QuadratureSpec:
     ``nodes_per_level`` is an upper bound that deep hierarchies fall
     below (the default gives 80 nodes up to k=2, 32 at k=3, 16 at k=4);
     a grid that does not fit with two nodes per level raises
-    BudgetExceeded.  The node rule takes O(n^2) memory, so
+    BudgetExceeded.  Interior levels with a zero field increment are
+    dropped before the node count is fitted, so equal plateaus cost one
+    level at any depth.  The node rule takes O(n^2) memory, so
     ``nodes_per_level`` is capped at ``MAX_NODES`` = 1024, the most the
     default budget gives any depth k >= 1.
     """

@@ -9,7 +9,11 @@ All expectations are over independent standard normals, one per
 hierarchy level, on Gauss-Hermite nodes (physicists' nodes rescaled to
 unit variance, from a numpy-only Golub-Welsch rule).  Every level gets
 the same node count, the largest that ``QuadratureSpec`` allows and
-whose tensor grid fits its budget.
+whose tensor grid fits its budget.  An interior level whose field
+increment is exactly zero is an identity of the nested average, so a
+lane with such levels is evaluated on the hierarchy without them, and
+the node count is fitted to that shallower grid: a fully collapsed
+depth-k lane costs one level at ``nodes_per_level`` nodes.
 
 A ``LevelPlan`` fixes the exponents, nodes, weights and exponent ratios
 of one depth; ``plan_moments`` / ``plan_log_cosh`` evaluate on it, so a
@@ -199,7 +203,8 @@ class LevelPlan:
     """Everything a nested average needs besides the field: the interior
     weight exponents, per-level nodes and weights (outermost first),
     ``inner``, one ``(weights, exponent ratio)`` entry per interior
-    level, innermost first, and ``points``, the size of the tensor grid.
+    level, innermost first, ``points``, the size of the tensor grid, and
+    the ``spec`` it was fitted to.
 
     A plan holds O(k * nodes) floats and no grid-sized buffer, so one
     can be built per solve and reused by every map application.
@@ -210,6 +215,7 @@ class LevelPlan:
     weights: tuple
     inner: tuple
     points: int
+    spec: QuadratureSpec
 
 
 def level_plan(thetas=(), spec=None):
@@ -222,7 +228,7 @@ def level_plan(thetas=(), spec=None):
                   for i in range(len(thetas), 0, -1))
     levels = len(thetas) + 1
     return LevelPlan(thetas, (nodes,) * levels, (weights,) * levels, inner,
-                     len(nodes) ** levels)
+                     len(nodes) ** levels, spec)
 
 
 def _field_tensor(offset, coeffs, nodes):
@@ -393,12 +399,13 @@ def _finite_lanes(kernel, plan, offset, coeffs, shape, what):
     if not lanes:
         return np.empty((0,) + shape), {}
     if np.isfinite(offset).all() and np.isfinite(coeffs).all():
-        out = kernel(plan, offset, coeffs)
+        out = _without_zero_levels(kernel, plan, offset, coeffs, shape)
     else:
         finite = np.isfinite(offset) & np.isfinite(coeffs).all(axis=1)
         out = np.full((lanes,) + shape, np.nan)
         if finite.any():
-            out[finite] = kernel(plan, offset[finite], coeffs[finite])
+            out[finite] = _without_zero_levels(kernel, plan, offset[finite],
+                                               coeffs[finite], shape)
     failed = {}
     if not np.isfinite(out).all():
         bad = ~np.isfinite(out.reshape(lanes, -1)).all(axis=1)
@@ -406,6 +413,34 @@ def _finite_lanes(kernel, plan, offset, coeffs, shape, what):
         failed = {i: NonFiniteIntegrand(what)
                   for i in np.flatnonzero(bad).tolist()}
     return out, failed
+
+
+def _without_zero_levels(kernel, plan, offset, coeffs, shape):
+    """``kernel(plan, offset, coeffs)`` on a block of lanes with finite
+    fields, where each lane with exact zeros among its interior field
+    coefficients (columns 1..k) runs on the plan of the hierarchy
+    without those levels.
+
+    A level a with c_a = 0 is an exact identity: its kernel is constant
+    over its nodes, so it passes the inner log kernel through, scaled by
+    theta_a / theta_{a+1}, which the outer ratio then takes over.  Its
+    plateau (the square of the tanh average given levels 0..a-1) is that
+    of its inner neighbour, so a moment row copies it from there.  Lanes
+    without an interior zero, and every k=0 block, run on ``plan``.
+    """
+    if not plan.thetas or coeffs[:, 1:].all():
+        return kernel(plan, offset, coeffs)
+    out = np.empty((len(offset),) + shape)
+    keys, group = np.unique(coeffs[:, 1:] == 0.0, axis=0, return_inverse=True)
+    for g, key in enumerate(keys):
+        rows = group.reshape(-1) == g
+        keep = ~key
+        sub = level_plan(np.compress(keep, plan.thetas), plan.spec)
+        res = kernel(sub, offset[rows], coeffs[rows][:, np.r_[True, keep]])
+        if shape:          # plateau columns innermost first
+            res = res[:, np.r_[0, 1 + np.cumsum(np.r_[0, keep[::-1]])]]
+        out[rows] = res
+    return out
 
 
 def _log_cosh(plan, offset, coeffs):

@@ -520,12 +520,19 @@ def _pressures(model, plan, consts, rows, size):
 
 
 def _dedupe(reports, tol=1e-7):
+    """The reports without the later of two converged branches whose
+    iterated (m, qs) agree to ``tol``.  The slaved conjugates ``ps`` are
+    not compared: a large p (about 100 on a cold pattern model) turns
+    an agreement in q far below ``tol`` into a gap above it."""
+    def iterated(a):
+        return np.r_[a.m, a.qs]
+
     kept = []
     for rep in reports:
         if not any(rep.converged and other.converged
                    and isinstance(rep.ansatz, RsbAnsatz)
-                   and np.max(np.abs(_flatten(rep.ansatz)
-                                     - _flatten(other.ansatz))) < tol
+                   and np.max(np.abs(iterated(rep.ansatz)
+                                     - iterated(other.ansatz))) < tol
                    for other in kept):
             kept.append(rep)
     return kept

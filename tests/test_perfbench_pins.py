@@ -49,3 +49,30 @@ def test_benchmark_pins_hold_at_seed_zero(workload):
     res = json.loads(proc.stdout.splitlines()[-1])
     assert res["attempted"] > 0
     assert res["failed"] == 0 and not res["problems"], res["problems"]
+
+
+# the collapse items of the pressure landscape at every seed the benchmark
+# may draw: equal plateaus must give the flat pressure on any draw
+COLLAPSE_SEEDS = r"""
+import json
+import package
+from workloads import WORKLOADS
+rsb = package.load()
+wl = WORKLOADS["pressure_landscape"]
+failed = []
+for seed in range(30):
+    for item in wl.items(seed):
+        if "_collapse" in item.label:
+            problems = wl.check(item, wl.call(rsb, item), seed)
+            if problems:
+                failed.append([seed, item.label] + problems)
+print(json.dumps(failed))
+"""
+
+
+def test_collapse_items_hold_at_every_seed():
+    proc = subprocess.run([sys.executable, "-c", COLLAPSE_SEEDS],
+                          cwd=ROOT / "perfbench", capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -305,6 +305,19 @@ def _one_chunk(monkeypatch):
     monkeypatch.setattr(quadrature, "_CHUNK_POINTS", 1 << 62)
 
 
+def _counted_points(monkeypatch):
+    """The grid points of every field tensor built from now on."""
+    points = []
+    build = quadrature._field_tensor
+
+    def counted(offset, coeffs, nodes):
+        points.append(len(offset) * math.prod(len(x) for x in nodes))
+        return build(offset, coeffs, nodes)
+
+    monkeypatch.setattr(quadrature, "_field_tensor", counted)
+    return points
+
+
 @pytest.mark.parametrize("kernel", ["plan_moments", "plan_log_cosh"])
 def test_lanes_split_when_one_outer_node_overflows_a_chunk(kernel, monkeypatch):
     # a chunk of 3 lanes' outer-node sub-grids: 7 lanes go in 3 groups,
@@ -316,14 +329,7 @@ def test_lanes_split_when_one_outer_node_overflows_a_chunk(kernel, monkeypatch):
     fn = getattr(quadrature, kernel)
     _one_chunk(monkeypatch)
     want, _ = fn(plan, offset, coeffs)
-    points = []
-    build = quadrature._field_tensor
-
-    def counted(offset, coeffs, nodes):
-        points.append(len(offset) * math.prod(len(x) for x in nodes))
-        return build(offset, coeffs, nodes)
-
-    monkeypatch.setattr(quadrature, "_field_tensor", counted)
+    points = _counted_points(monkeypatch)
     _chunked(monkeypatch, 3 * 20, 2)
     got, failed = fn(plan, offset, coeffs)
     assert got.tobytes() == want.tobytes() and not failed
@@ -332,14 +338,7 @@ def test_lanes_split_when_one_outer_node_overflows_a_chunk(kernel, monkeypatch):
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_chunked_grid_is_walked_once(k, monkeypatch):
-    points = []
-    build = quadrature._field_tensor
-
-    def counted(offset, coeffs, nodes):
-        points.append(len(offset) * math.prod(len(x) for x in nodes))
-        return build(offset, coeffs, nodes)
-
-    monkeypatch.setattr(quadrature, "_field_tensor", counted)
+    points = _counted_points(monkeypatch)
     # 3 of the 16 outer nodes per chunk, so the last chunk is short
     _chunked(monkeypatch, 3 * 16 ** k, 2)
     spec = QuadratureSpec(nodes_per_level=16)
@@ -498,6 +497,94 @@ def test_collapse_invariance(k):
     assert merged == pytest.approx(base, abs=1e-12)
 
 
+def _full_grid(monkeypatch):
+    """Every lane on its plan's whole tensor grid, zero levels included."""
+    monkeypatch.setattr(quadrature, "_without_zero_levels",
+                        lambda kernel, plan, offset, coeffs, shape:
+                        kernel(plan, offset, coeffs))
+
+
+PLAN_KERNELS = pytest.mark.parametrize("kernel", ["plan_moments",
+                                                  "plan_log_cosh"])
+
+# (k, interior columns with a zero coefficient): the innermost level, a
+# middle one and every interior level
+ZERO_LEVELS = [(1, (1,)), (2, (2,)), (2, (1,)), (2, (1, 2)), (3, (3,)),
+               (3, (2,)), (3, (1, 2, 3)), (4, (4,)), (4, (2,)),
+               (4, (1, 2, 3, 4))]
+
+
+@pytest.mark.parametrize("k,zeros", ZERO_LEVELS)
+def test_zero_levels_dropped_as_on_the_full_grid(k, zeros, monkeypatch):
+    # on a grid the budget does not cut, the reduced hierarchy has the
+    # same nodes as the full one, so both kernels agree to rounding and
+    # a dropped level's plateau is copied from its inner neighbour
+    spec = QuadratureSpec(nodes_per_level=12, max_tensor_points=12 ** (k + 1))
+    plan = quadrature.level_plan(tuple(np.linspace(0.2, 0.8, k)), spec)
+    rng = np.random.default_rng(70 + k)
+    offset, coeffs = rng.normal(size=4), rng.uniform(0.2, 1.2, (4, k + 1))
+    coeffs[:, list(zeros)] = 0.0
+    points = _counted_points(monkeypatch)
+    value, failed = quadrature.plan_log_cosh(plan, offset, coeffs)
+    x, failed_x = quadrature.plan_moments(plan, offset, coeffs)
+    assert not failed and not failed_x
+    assert sum(points) == 2 * 4 * 12 ** (k + 1 - len(zeros))
+    for a in zeros:
+        assert np.array_equal(x[:, a], x[:, a + 1])
+    _full_grid(monkeypatch)
+    want, _ = quadrature.plan_log_cosh(plan, offset, coeffs)
+    want_x, _ = quadrature.plan_moments(plan, offset, coeffs)
+    assert sum(points) == 2 * 4 * 12 ** (k + 1 - len(zeros)) \
+        + 2 * 4 * 12 ** (k + 1)
+    assert np.abs(value - want).max() <= 1e-13
+    assert np.abs(x - want_x).max() <= 1e-13
+
+
+def test_collapsed_hierarchy_is_one_level(monkeypatch):
+    # equal plateaus at k=3 on the default spec: one level of 80 nodes,
+    # not the 32^4 points the budget fits to four levels
+    points = _counted_points(monkeypatch)
+    params = SkParams(beta=1.1, j0=0.3, j=0.9)
+    a = RsbAnsatz(k=3, m=0.3, qs=(0.6,) * 4, thetas=(0.25, 0.5, 0.75))
+    deep = sk_pressure_krsb(params, a).pressure
+    assert points == [80]
+    assert deep == pytest.approx(sk_pressure_rs(params, 0.3, 0.6).pressure,
+                                 abs=1e-14)
+
+
+@PLAN_KERNELS
+def test_failed_lanes_of_a_reduced_group(kernel):
+    # a non-finite field and an overflowing one among lanes that share
+    # their zero level keep their own failure
+    plan = quadrature.level_plan((0.3, 0.6), QuadratureSpec(nodes_per_level=16))
+    offset = np.array([0.3, np.nan, 0.2, 0.1])
+    coeffs = np.array([[0.5, 0.0, 0.4], [0.5, 0.0, 0.4], [0.7, 0.0, 0.2],
+                       [1e308, 0.0, 0.4]])
+    fn = getattr(quadrature, kernel)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, failed = fn(plan, offset, coeffs)
+    assert sorted(failed) == [1, 3]
+    assert all(isinstance(e, NonFiniteIntegrand) for e in failed.values())
+    assert np.isnan(got[[1, 3]]).all() and np.isfinite(got[[0, 2]]).all()
+    one, _ = fn(plan, offset[[2]], coeffs[[2]])
+    assert got[2].tobytes() == one[0].tobytes()
+
+
+@PLAN_KERNELS
+def test_plain_lanes_of_a_mixed_block_are_bitwise(kernel, monkeypatch):
+    plan = quadrature.level_plan((0.3, 0.6), QuadratureSpec(nodes_per_level=24))
+    rng = np.random.default_rng(77)
+    offset, coeffs = rng.normal(size=6), rng.uniform(0.2, 1.2, (6, 3))
+    coeffs[1, 1] = coeffs[4, 1:] = 0.0
+    plain = [0, 2, 3, 5]
+    fn = getattr(quadrature, kernel)
+    got, _ = fn(plan, offset, coeffs)
+    _full_grid(monkeypatch)
+    want, _ = fn(plan, offset, coeffs)
+    assert got[plain].tobytes() == want[plain].tobytes()
+    assert np.abs(got - want).max() <= 1e-13
+
+
 def test_theta_continuity():
     spec = QuadratureSpec(nodes_per_level=40)
     vals = [nested_log_cosh_expect(0.3, [0.7, 0.4], thetas=[t], spec=spec)
@@ -585,13 +672,12 @@ def test_default_three_level_grid_is_converged(params, pressure, sce, flat):
 @DEEP_MODELS
 def test_default_spec_collapse_up_to_eight_levels(params, pressure, sce, flat,
                                                   k):
-    # equal plateaus make every inner level an identity on any grid, so
-    # the deep pressure is the flat one on the fitted node count
+    # equal plateaus make every inner level an identity, so the deep
+    # pressure is evaluated as the flat one on ``nodes_per_level`` nodes
     thetas = tuple((i + 1.0) / (k + 1.0) for i in range(k))
-    nodes = len(quadrature.level_plan(thetas).nodes[0])
     for q in (0.4, 0.9):
         a = RsbAnsatz(k=k, m=0.3, qs=(q,) * (k + 1), thetas=thetas)
-        ref = flat(params, 0.3, q, spec=QuadratureSpec(nodes_per_level=nodes))
+        ref = flat(params, 0.3, q)
         assert pressure(params, a).pressure == pytest.approx(
             ref.pressure, abs=1e-10)
 

@@ -289,6 +289,15 @@ def test_non_stationary_branch_is_flagged():
     assert [r.stationary for r in failed] == [None] * len(failed)
 
 
+def test_one_branch_despite_far_apart_conjugates():
+    # both starts end on the glass branch 2.6e-11 apart in q, but its
+    # conjugate p ~ 99.8 puts them 1.7e-7 apart in p: only the iterated
+    # (m, qs) decide whether two branches are one
+    reports = solve_model("hopfield", HopfieldParams(beta=10.0, alpha=0.13),
+                          spec=QuadratureSpec(nodes_per_level=1024))
+    assert [r.converged for r in reports] == [True]
+
+
 @pytest.mark.parametrize("k,nodes", [(0, 80), (1, 80), (2, 80), (3, 32)])
 def test_solve_report_names_its_node_count(k, nodes):
     # the default budget of 2^20 grid points fits 80 nodes up to k=2
