@@ -214,9 +214,12 @@ class QuadratureSpec:
     a grid that does not fit with two nodes per level raises
     BudgetExceeded.  Interior levels with a zero field increment are
     dropped before the node count is fitted, so equal plateaus cost one
-    level at any depth.  The node rule takes O(n^2) memory, so
-    ``nodes_per_level`` is capped at ``MAX_NODES`` = 1024, the most the
-    default budget gives any depth k >= 1.
+    level at any depth.  The budget fits n but no longer prices a call
+    at k >= 2: a lane whose deeper levels run on field grids (see
+    ``quadrature``) evaluates far fewer than n^(k+1) points.  The node
+    rule takes O(n^2) memory, so ``nodes_per_level`` is capped at
+    ``MAX_NODES`` = 1024, the most the default budget gives any depth
+    k >= 1.
     """
 
     nodes_per_level: int = 80

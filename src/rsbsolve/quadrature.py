@@ -1,9 +1,9 @@
-"""Nested Gaussian averages on tensor grids.
+"""Nested Gaussian averages on Gauss-Hermite rules.
 
-Two kernels walk the same grid and the same per-level reweighting:
-``nested_log_cosh_expect`` gives the field term of the pressure, and
-``nested_moments`` gives every output of the self-consistency map (the
-magnetization and all overlap plateaus) from one pass.
+Two kernels share one level recursion: ``nested_log_cosh_expect`` gives
+the field term of the pressure, and ``nested_moments`` gives every
+output of the self-consistency map (the magnetization and all overlap
+plateaus) from one pass.
 
 All expectations are over independent standard normals, one per
 hierarchy level, on Gauss-Hermite nodes (physicists' nodes rescaled to
@@ -19,34 +19,40 @@ A ``LevelPlan`` fixes the exponents, nodes, weights and exponent ratios
 of one depth; ``plan_moments`` / ``plan_log_cosh`` evaluate on it, so a
 solver builds the plan once and every map application only builds the
 field.  Both evaluate a block of lanes (fields) at once.
-The field is a sum of outer products, the transcendentals run in place
-and each level is integrated out with one row sum.
-Everything runs in the log domain with a max subtraction per reduction,
-so large arguments cannot overflow; that max is read off the two end
-nodes, since every level's log kernel is convex in its node.
+The transcendentals run in place and each level is integrated out with
+one row sum.  Everything runs in the log domain with a max subtraction
+per reduction, so large arguments cannot overflow; that max is read off
+the two end nodes, since every level's log kernel is convex in its node.
 
-Both kernels walk the grid in chunks of outermost nodes (and of lanes,
-where one outer node of every lane is more) of at most
-``_CHUNK_POINTS`` = 2^17 grid points, lanes included, so each float64
-temporary is 1 MB and stays in a 2 MB L2 cache, and peak memory is
-bounded by the chunk rather than the tensor.  The chunks are spread
-over the CPUs the process may run on: the caller takes one strided
-share and one thread per further CPU another, started per call and
-joined before it returns.  Every step within a chunk is elementwise or
-a row sum over the contiguous last axis and the outermost level's dot
-product runs on the caller over the whole node vector, so every output
-is bit for bit that of the grid in one piece.  A grid of one chunk is
-evaluated in one piece on the caller.
+Level a depends on the outer normals only through the cumulative field
+y = offset + sum_{b<a} c_b h_b (Parisi, J. Phys. A 13, L115, 1980).
+Level 1 is always evaluated at its n exact fields.  A deeper level runs
+either at its n^a exact fields, as the tensor grid does, or on a
+uniform grid in y of spacing ``_DY`` = 0.05 that spans them, where the
+level above reads its rows through a ``_STENCIL`` = 13-point Lagrange
+stencil; each lane takes the grids where they cost fewer evaluations
+(``_exact_depth``).  So every depth <= 1 block, every depth-2 block on
+26 nodes or fewer and every lane too wide for a cheaper grid is the
+tensor grid, bit for bit; a lane on grids agrees with it to 1e-15 in
+the log-cosh term and 2e-14 in the moments (tested to 1e-13).
+
+The tensor grid is walked in chunks of outermost nodes (and of lanes,
+where one outer node of every lane is more), and each grid in chunks of
+grid points, of at most ``_CHUNK_POINTS`` = 2^17 points, lanes
+included, so each float64 temporary is 1 MB and stays in a 2 MB L2
+cache, and peak memory is bounded by the chunk rather than the grid.
+Every chunk runs on the caller.  Every step within a chunk is
+elementwise or a row sum over the contiguous last axis and the
+outermost level's dot product runs over the whole node vector, so every
+output is bit for bit that of the grid in one piece, and a lane's row is
+that of a block of one.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -63,6 +69,21 @@ THETA_FLOOR = 0.01
 # grid points per chunk of a tensor-grid kernel: 1 MB per float64
 # temporary, which stays in a 2 MB L2 cache
 _CHUNK_POINTS = 1 << 17
+
+# the grids of the deeper levels: spacing in the cumulative field, the
+# points of the equispaced Lagrange stencil that interpolates on them,
+# and the points added per level beyond each end of a grid's exact
+# fields (the stencil's half width, a point for rounding and slack)
+_DY = 0.05
+_STENCIL = 13
+_MARGIN = 9
+# no grid for fields this far out: beyond it a float's spacing passes
+# 2e-5 grid steps, an error the equispaced stencil weights would carry
+_FAR = 2.0 ** 32
+# 1 / prod_{m != s} (s - m): the Lagrange weights' denominators
+_BARYCENTRIC = 1.0 / np.array([math.prod(s - m for m in range(_STENCIL)
+                                         if m != s)
+                               for s in range(_STENCIL)], dtype=float)
 
 _DEFAULT_SPEC = QuadratureSpec()
 
@@ -203,8 +224,9 @@ class LevelPlan:
     """Everything a nested average needs besides the field: the interior
     weight exponents, per-level nodes and weights (outermost first),
     ``inner``, one ``(weights, exponent ratio)`` entry per interior
-    level, innermost first, ``points``, the size of the tensor grid, and
-    the ``spec`` it was fitted to.
+    level, innermost first, ``points``, the size of the tensor grid (what
+    a lane evaluated there costs; a lane whose deeper levels run on grids
+    costs fewer), and the ``spec`` it was fitted to.
 
     A plan holds O(k * nodes) floats and no grid-sized buffer, so one
     can be built per solve and reused by every map application.
@@ -279,75 +301,36 @@ def _reweight(logn, r, w):
     return mx
 
 
-def _cpu_count():
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:         # no affinity mask outside Linux
-        return os.cpu_count() or 1
+def _by_outer_nodes(leaf, step, nrows, nodes, inner, *lanes, per_point=1):
+    """``_tensor_rows(leaf, step, nodes, inner, *lanes)`` on the whole
+    tensor grid of ``nodes`` for a block of lanes, evaluated in chunks of
+    lanes and outermost nodes: shape ``(nrows, lanes, len(nodes[0]))``.
 
-
-def _by_outer_nodes(rows, lead, plan, offset, coeffs):
-    """``rows(offset, coeffs, nodes, plan.inner)`` on the whole grid of a
-    block of lanes, evaluated in chunks of lanes and outermost nodes.
-
-    ``rows`` integrates out every interior level and returns an array
-    of shape ``lead + (len(nodes[0]),)``, lanes on the second-to-last
-    axis.  Each chunk holds at most ``_CHUNK_POINTS`` grid points (one
-    lane's outer-node sub-grid if that alone is larger) and writes its
-    block of the last two axes.  Every step of ``rows`` is elementwise
-    or a row sum over the last axis, so each entry is bit for bit that
-    of the grid in one piece, which is what a grid of one chunk gets.
+    ``lanes`` holds the per-lane arrays, lane on the first axis.  Each
+    chunk holds at most ``_CHUNK_POINTS // per_point`` grid points (one
+    lane's outer-node sub-grid if that alone is larger), runs on the
+    caller and writes its block of the last two axes.  Every step of
+    ``_tensor_rows`` is elementwise or a row sum over the last axis, so
+    each entry is bit for bit that of the grid in one piece, which is
+    what a grid of one chunk gets.
     """
-    nodes = plan.nodes
-    lanes = len(offset)
-    if lanes * plan.points <= _CHUNK_POINTS:
-        return rows(offset, coeffs, nodes, plan.inner)
+    count = len(lanes[0])
+    points = len(nodes[0]) ** len(nodes)   # every level has one rule
+    if count * points * per_point <= _CHUNK_POINTS:
+        return _tensor_rows(leaf, step, nodes, inner, *lanes)
     n0 = len(nodes[0])
-    fit = _CHUNK_POINTS // (plan.points // n0)   # lanes of one outer node
-    size = max(1, fit // lanes)                 # outer nodes per chunk
-    width = max(1, min(lanes, fit))             # lanes per chunk
-    out = np.empty(lead + (n0,))
-
-    def run(spans):
-        for ls, ns in spans:
-            out[..., ls, ns] = rows(offset[ls], coeffs[ls],
-                                    (nodes[0][ns],) + nodes[1:], plan.inner)
-
-    _spread(run, [(slice(a, a + width), slice(b, b + size))
-                  for a in range(0, lanes, width) for b in range(0, n0, size)])
+    budget = max(1, _CHUNK_POINTS // per_point)
+    fit = budget // (points // n0)          # lanes of one outer node
+    size = max(1, fit // count)             # outer nodes per chunk
+    width = max(1, min(count, fit))         # lanes per chunk
+    out = np.empty((nrows, count, n0))
+    for a in range(0, count, width):
+        for b in range(0, n0, size):
+            ls, ns = slice(a, a + width), slice(b, b + size)
+            out[:, ls, ns] = _tensor_rows(leaf, step,
+                                          (nodes[0][ns],) + nodes[1:], inner,
+                                          *(x[ls] for x in lanes))
     return out
-
-
-def _spread(run, spans):
-    """``run`` over strided shares of ``spans``, one share per available
-    CPU: the caller takes the first and one thread each the others.
-
-    The threads are joined before this returns.  Each runs in a copy of
-    the caller's context, so numpy's error state holds there too, and
-    the first exception a thread raises is raised here after the join.
-    """
-    workers = min(_cpu_count(), len(spans))
-    errors = []
-
-    def helper(share):
-        try:
-            run(share)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(helper, spans[i::workers]))
-               for i in range(1, workers)]
-    for t in threads:
-        t.start()
-    try:
-        run(spans[::workers])
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
 
 
 def plan_log_cosh(plan, offset, coeffs):
@@ -391,17 +374,25 @@ def plan_moments(plan, offset, coeffs):
 
 
 def _finite_lanes(kernel, plan, offset, coeffs, shape, what):
-    """``kernel(plan, offset, coeffs)`` on the lanes with a finite field,
-    one row of ``shape`` each (NaN for the others), and a dict from row
-    to a ``NonFiniteIntegrand(what)`` for each lane whose field or row is
-    not finite."""
+    """``kernel(plan, offset, coeffs)`` on the lanes whose field is
+    finite on the whole grid, one row of ``shape`` each (NaN for the
+    others, which are not evaluated), and a dict from row to a
+    ``NonFiniteIntegrand(what)`` for each lane whose field or row is not
+    finite."""
     lanes = len(offset)
     if not lanes:
         return np.empty((0,) + shape), {}
-    if np.isfinite(offset).all() and np.isfinite(coeffs).all():
+    # the largest |field| on a lane's grid is |offset| + h_max sum |c_a|;
+    # these Python floats bound every lane's, without numpy's warnings
+    hmax = float(plan.nodes[0][-1])
+    if math.isfinite(float(np.maximum.reduce(np.abs(offset)))
+                     + hmax * coeffs.shape[1]
+                     * float(np.maximum.reduce(np.abs(coeffs), axis=None))):
         out = _without_zero_levels(kernel, plan, offset, coeffs, shape)
     else:
-        finite = np.isfinite(offset) & np.isfinite(coeffs).all(axis=1)
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(np.abs(offset)
+                                 + hmax * np.abs(coeffs).sum(axis=1))
         out = np.full((lanes,) + shape, np.nan)
         if finite.any():
             out[finite] = _without_zero_levels(kernel, plan, offset[finite],
@@ -445,55 +436,263 @@ def _without_zero_levels(kernel, plan, offset, coeffs, shape):
 
 def _log_cosh(plan, offset, coeffs):
     """The nested averages of a block of lanes with finite fields."""
-    logn = _by_outer_nodes(_log_cosh_rows, (len(offset),), plan, offset,
-                           coeffs)
+    logn = _levels(_log_cosh_leaf, _log_cosh_step, 1, plan, offset, coeffs)
     th1 = plan.thetas[0] if plan.thetas else 1.0
-    return np.vecdot(logn, plan.weights[0]) / th1
+    return np.vecdot(logn[0], plan.weights[0]) / th1
 
 
 def _moments(plan, offset, coeffs):
     """The unclipped ``[m, q_{k+1}, ..., q_1]`` rows of a block of lanes
     with finite fields."""
-    rows = _by_outer_nodes(_moment_rows, (len(plan.inner) + 3, len(offset)),
-                           plan, offset, coeffs)
+    rows = _levels(_moment_leaf, _moment_step, len(plan.inner) + 3, plan,
+                   offset, coeffs)
     return np.vecdot(rows[1:], plan.weights[0]).T
 
 
-def _log_cosh_rows(offset, coeffs, nodes, inner):
-    """The log kernel of a block of lanes on the outermost level's
-    ``nodes[0]``, every interior level integrated out."""
-    g = _field_tensor(offset, coeffs, nodes)
-    logn = _log2cosh(g, np.empty_like(g))
-    for w, r in inner:             # integrate out a level
-        mx = _reweight(logn, r, w)
-        logn = mx + np.log(logn.sum(axis=-1))
-    return logn
+def _log_cosh_leaf(g, log):
+    """The log kernel of the fields ``g`` (overwritten) as one row; it is
+    this kernel's only row, so ``log`` is moot."""
+    rows = np.empty((1,) + g.shape)
+    _log2cosh(g, rows[0])
+    return rows
 
 
-def _moment_rows(offset, coeffs, nodes, inner):
-    """The log kernel (row 0, unset without interior levels), the
-    running tanh average and the plateaus innermost first of a block of
-    lanes on the outermost level's ``nodes[0]``, every interior level
-    integrated out."""
-    g = _field_tensor(offset, coeffs, nodes)
-    # row 0: log kernel; rows 1..: running tanh average, then the
-    # plateaus innermost first
+def _log_cosh_step(rows, w, r):
+    """Integrate the last axis out of the log kernel."""
+    mx = _reweight(rows[0], r, w)
+    return (mx + np.log(rows[0].sum(axis=-1)))[None]
+
+
+def _moment_leaf(g, log):
+    """Row 0: the log kernel of the fields ``g`` (overwritten; unset
+    unless ``log``), row 1: their tanh, row 2: its square."""
     rows = np.empty((3,) + g.shape)
     np.tanh(g, out=rows[1])
     np.multiply(rows[1], rows[1], out=rows[2])
-    if inner:
+    if log:
         _log2cosh(g, rows[0])
-    for w, r in inner:             # integrate out a level
-        mx = _reweight(rows[0], r, w)
-        rows[1:] *= rows[0]
-        sums = rows.sum(axis=-1)
-        nxt = np.empty((len(rows) + 1,) + sums.shape[1:])
-        np.log(sums[0], out=nxt[0])
-        nxt[0] += mx
-        np.divide(sums[1:], sums[0], out=nxt[1:-1])
-        np.multiply(nxt[1], nxt[1], out=nxt[-1])
-        rows = nxt
     return rows
+
+
+def _moment_step(rows, w, r):
+    """Integrate the last axis out of the log kernel (row 0), the
+    running tanh average (row 1) and the plateaus innermost first, and
+    append the new plateau, the square of the new tanh average."""
+    mx = _reweight(rows[0], r, w)
+    rows[1:] *= rows[0]
+    sums = rows.sum(axis=-1)
+    nxt = np.empty((len(rows) + 1,) + sums.shape[1:])
+    np.log(sums[0], out=nxt[0])
+    nxt[0] += mx
+    np.divide(sums[1:], sums[0], out=nxt[1:-1])
+    np.multiply(nxt[1], nxt[1], out=nxt[-1])
+    return nxt
+
+
+def _levels(leaf, step, nrows, plan, offset, coeffs):
+    """The ``nrows`` rows of a block of lanes with finite fields on the
+    outermost level's nodes, every interior level integrated out: shape
+    ``(nrows, lanes, n)``.  ``leaf`` gives the rows of the innermost
+    level from its fields and ``step`` integrates a level out of them.
+
+    A lane whose levels are all exact (``_exact_depth``) runs on the
+    tensor grid; the others run their deeper levels on grids
+    (``_grid_rows``).  Either way a lane's row is that of a block of one.
+    """
+    k = len(plan.thetas)
+    # below depth 2, or where the n^2 exact points of level 2 alone cost
+    # the tensor grid (see _exact_depth), every lane is exact
+    if k < 2 or len(plan.nodes[0]) ** (k - 1) <= 2 * _STENCIL:
+        return _by_outer_nodes(leaf, step, nrows, plan.nodes, plan.inner,
+                               offset, coeffs)
+
+    def run(p, offset, coeffs):
+        if p == k:
+            return _by_outer_nodes(leaf, step, nrows, plan.nodes, plan.inner,
+                                   offset, coeffs)
+        return _grid_rows(leaf, step, nrows, plan, offset, coeffs, p)
+
+    depth = _exact_depth(plan, offset, coeffs)
+    depths = np.unique(depth).tolist()
+    if len(depths) == 1:
+        return run(depths[0], offset, coeffs)
+    out = np.empty((nrows, len(offset), len(plan.nodes[0])))
+    for p in depths:
+        lanes = depth == p
+        out[:, lanes] = run(p, offset[lanes], coeffs[lanes])
+    return out
+
+
+def _tensor_rows(leaf, step, nodes, inner, offset, coeffs, *grid):
+    """The rows of a block of lanes on the outermost level's
+    ``nodes[0]``, every level of ``inner`` integrated out of the tensor
+    grid of ``nodes``.
+
+    The innermost level's rows are ``leaf`` of its fields or, given
+    ``grid`` (each lane's first grid point and its rows on the grid of
+    the level below ``nodes``, lane first), interpolated from there.
+    """
+    g = _field_tensor(offset, coeffs, nodes)
+    if grid:
+        start, below = grid
+        at = (g - start.reshape((-1,) + (1,) * (g.ndim - 1))) / _DY
+        rows = _interpolate(np.moveaxis(below, 0, 1), *_stencil(at))
+    else:
+        rows = leaf(g, bool(inner))
+    for w, r in inner:             # integrate out a level
+        rows = step(rows, w, r)
+    return rows
+
+
+def _reach(plan, coeffs):
+    """The half width h_max * sum_{b<a} |c_b| of level a's exact fields
+    around the offset, for a = 1..k, lane first."""
+    return plan.nodes[0][-1] * np.cumsum(np.abs(coeffs[:, :-1]), axis=1)
+
+
+def _margins(levels):
+    """The grid points beyond each end of the exact fields of each of
+    ``levels``: ``_MARGIN`` per level below level 1."""
+    return _MARGIN * (levels - 1)
+
+
+def _exact_depth(plan, offset, coeffs):
+    """Each lane's deepest level p evaluated at its exact points; levels
+    p+1..k run on grids (``_grid_rows``).
+
+    p minimizes the points evaluated, with each interpolated point
+    counted as the ``_STENCIL`` grid points it reads, and twice that
+    where its stencil weights are its own: p = k costs the n^(k+1) points
+    of the tensor grid, and p < k costs the n^(p+1) exact points of
+    level p+1, interpolated, plus n points per grid point of each level
+    below, interpolated by node-wide weights except at level k, which
+    is the closed form.  Grids never larger than the tensor grid are
+    all that take part, so no size overflows.  A lane whose fields reach
+    ``_FAR`` is exact.
+    """
+    k = len(plan.thetas)
+    n = float(len(plan.nodes[0]))
+    level = np.arange(1, k + 1)
+    tensor = n ** (k + 1)
+    reach = np.minimum(_reach(plan, coeffs), tensor * _DY)
+    work = (np.ceil(reach * (2 / _DY)) + 2 * _margins(level) + 1) * n
+    work[:, :-1] *= _STENCIL
+    below = np.cumsum(work[:, :0:-1], axis=1)[:, ::-1]  # levels p+1..k
+    cost = np.empty_like(work)
+    cost[:, :-1] = 2 * _STENCIL * n ** level[1:] + below
+    cost[np.abs(offset) + reach[:, -1] >= _FAR, :-1] = np.inf
+    cost[:, -1] = tensor
+    return 1 + np.argmin(cost, axis=1)
+
+
+def _grid_rows(leaf, step, nrows, plan, offset, coeffs, p):
+    """The rows of a block of lanes on the outermost level's nodes, as
+    ``_levels`` gives them, with levels p+1..k on grids.
+
+    Level a of a lane is a function of the cumulative field y alone.  Its
+    grid has spacing ``_DY`` and spans the exact fields, offset +- reach
+    (``_reach``), plus ``_MARGIN`` points per level beyond each end, so
+    every stencil of the level above stays inside it.  Level k's rows
+    are ``leaf`` at grid + c_k h_j; each level above interpolates the
+    rows of the level below at grid + c_a h_j, a shift that is constant
+    over the grid, so the stencil weights are computed once per node.
+    Levels p..1 run on the tensor grid of their exact fields, with the
+    rows of level p+1 interpolated there.  The grids of a block are
+    padded to a common size per level, each level as much longer than
+    the one above as any lane's needs, so padded points read in range;
+    every step is elementwise or a row sum, so a lane's rows do not
+    depend on the padding or on the chunks of grid points.
+    """
+    k = len(plan.thetas)
+    h = plan.nodes[0]
+    count = len(offset)
+    margin = _margins(np.arange(p + 1, k + 1))
+    reach = _reach(plan, coeffs)[:, p:]
+    origin = offset[:, None] - reach - margin * _DY
+    size = np.ceil(reach * (2 / _DY)).astype(np.intp) + 2 * margin + 1
+    size = size[:, 0].max() + np.r_[0, np.diff(size, axis=1).max(axis=0)
+                                    .cumsum()]
+    shift = coeffs[:, k, None] * h
+
+    def innermost(a, b):
+        grid = origin[:, -1, None] + _DY * np.arange(a, b)
+        return leaf(grid[:, :, None] + shift[:, None, :], True)
+
+    rows = _on_grid(innermost, step, plan.inner[0], size[-1],
+                    count * len(h))
+    for a in range(k - 1, p, -1):
+        col = a - p - 1
+        first, lam = _stencil((origin[:, col, None] - origin[:, col + 1, None]
+                               + coeffs[:, a, None] * h) / _DY)
+        rows = _on_grid(partial(_shifted, rows, first, lam), step,
+                        plan.inner[k - a], size[col],
+                        count * len(h) * _STENCIL)
+    return _by_outer_nodes(leaf, step, nrows, plan.nodes[:p + 1],
+                           plan.inner[k - p:], offset, coeffs[:, :p + 1],
+                           origin[:, 0], np.moveaxis(rows, 1, 0),
+                           per_point=_STENCIL)
+
+
+def _on_grid(rows_at, step, level, size, per_point):
+    """``step`` of ``rows_at(i, j)``, a level's rows at grid points i..j-1
+    of every lane, over grid points 0..size-1 in chunks of at most
+    ``_CHUNK_POINTS // per_point`` points."""
+    width = max(1, _CHUNK_POINTS // per_point)
+    if width >= size:
+        return step(rows_at(0, size), *level)
+    return np.concatenate([step(rows_at(i, min(i + width, size)), *level)
+                           for i in range(0, size, width)], axis=-1)
+
+
+def _stencil(at):
+    """The first point and the Lagrange weights, stencil point first, of
+    the ``_STENCIL`` equispaced grid points around each position ``at``
+    (in grid steps from the first grid point), with ``at`` in their
+    middle cell.
+
+    Weight s is b_s prod_{m != s} d_m, d_m the position less point m and
+    b_s = ``_BARYCENTRIC[s]``.  Only the middle difference, the offset
+    in the cell, can vanish, so the product is taken without it and
+    each other weight divides its own difference out of it.
+    """
+    half = _STENCIL // 2
+    cell = np.floor(at)
+    frac = at - cell
+    d = np.add.outer(half - np.arange(_STENCIL, dtype=float), frac)
+    d[half] = 1.0
+    rest = np.prod(d, axis=0)
+    lam = np.multiply.outer(_BARYCENTRIC, rest * frac)
+    lam /= d
+    lam[half] = _BARYCENTRIC[half] * rest
+    return cell.astype(np.intp) - half, lam
+
+
+def _interpolate(rows, first, lam):
+    """Each lane's ``rows`` on its grid, shape ``(nrows, lanes, size)``,
+    interpolated on the stencils that start at ``first`` (lane first)
+    with weights ``lam`` (stencil point first): shape
+    ``(nrows,) + first.shape``."""
+    size = rows.shape[-1]
+    at = first + (size * np.arange(rows.shape[1])).reshape(
+        (-1,) + (1,) * (first.ndim - 1))
+    vals = np.take(rows.reshape(len(rows), -1),
+                   np.add.outer(np.arange(_STENCIL), at), axis=1)
+    vals *= lam
+    return vals.sum(axis=1)
+
+
+def _shifted(rows, first, lam, i, j):
+    """Each lane's ``rows`` on its grid, shape ``(nrows, lanes, size)``,
+    interpolated at grid points i..j-1 of the level above shifted by
+    each node: the stencil of node b starts at ``first[:, b] + i`` with
+    weights ``lam[:, :, b]`` at every point.  Shape ``(nrows, lanes,
+    j - i, nodes)``."""
+    window = np.lib.stride_tricks.sliding_window_view(rows, j - i, axis=-1)
+    lane = np.arange(rows.shape[1])[:, None]
+    out = window[:, lane, first + i] * lam[0, ..., None]
+    for s in range(1, _STENCIL):
+        out += window[:, lane, first + (i + s)] * lam[s, ..., None]
+    return np.ascontiguousarray(out.swapaxes(-1, -2))
 
 
 def nested_log_cosh_expect(offset, coeffs, thetas=(), spec=None):

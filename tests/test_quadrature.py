@@ -1,8 +1,6 @@
 """Gaussian expectation layer against dense-grid and closed-form oracles."""
 
 import math
-import sys
-import threading
 import warnings
 
 import numpy as np
@@ -295,10 +293,9 @@ def test_one_grid_pass_per_map_application(k, monkeypatch):
     assert len(calls) == 2
 
 
-def _chunked(monkeypatch, points, cpus):
-    """Chunks of ``points`` grid points spread over ``cpus`` CPUs."""
+def _chunked(monkeypatch, points):
+    """Chunks of ``points`` grid points."""
     monkeypatch.setattr(quadrature, "_CHUNK_POINTS", points)
-    monkeypatch.setattr(quadrature, "_cpu_count", lambda: cpus)
 
 
 def _one_chunk(monkeypatch):
@@ -330,7 +327,7 @@ def test_lanes_split_when_one_outer_node_overflows_a_chunk(kernel, monkeypatch):
     _one_chunk(monkeypatch)
     want, _ = fn(plan, offset, coeffs)
     points = _counted_points(monkeypatch)
-    _chunked(monkeypatch, 3 * 20, 2)
+    _chunked(monkeypatch, 3 * 20)
     got, failed = fn(plan, offset, coeffs)
     assert got.tobytes() == want.tobytes() and not failed
     assert max(points) <= 3 * 20 and sum(points) == 7 * 20 * 20
@@ -340,7 +337,7 @@ def test_lanes_split_when_one_outer_node_overflows_a_chunk(kernel, monkeypatch):
 def test_chunked_grid_is_walked_once(k, monkeypatch):
     points = _counted_points(monkeypatch)
     # 3 of the 16 outer nodes per chunk, so the last chunk is short
-    _chunked(monkeypatch, 3 * 16 ** k, 2)
+    _chunked(monkeypatch, 3 * 16 ** k)
     spec = QuadratureSpec(nodes_per_level=16)
     thetas = tuple(np.linspace(0.3, 0.7, k))
     a = RsbAnsatz(k=k, m=0.4, qs=np.linspace(0.5, 0.8, k + 1), thetas=thetas)
@@ -354,6 +351,21 @@ def test_chunked_grid_is_walked_once(k, monkeypatch):
 CHUNKED_PLANS = [(0, 80), (1, 80), (2, 24), (3, 12), (2, 80), (3, 32)]
 
 
+def _wide_lanes(rng, count, k):
+    """Lanes whose fields are too wide for any grid to be cheaper than
+    the tensor grid, at every plan of ``CHUNKED_PLANS``."""
+    return rng.normal(size=count), rng.uniform(8.0, 10.0, (count, k + 1))
+
+
+def _walks_chunked_tensor(monkeypatch, kernel, plan, offset, coeffs, budget):
+    """Run ``kernel`` on lanes that walk the tensor grid and check that
+    every point was walked once, in chunks of at most ``budget``."""
+    points = _counted_points(monkeypatch)
+    kernel(plan, offset, coeffs)
+    tensor = len(offset) * math.prod(len(x) for x in plan.nodes)
+    assert sum(points) == tensor and max(points) <= budget < tensor
+
+
 @pytest.mark.parametrize("k,nodes", CHUNKED_PLANS)
 def test_chunked_log_cosh_is_bitwise(k, nodes, monkeypatch):
     rng = np.random.default_rng(40 + k)
@@ -361,12 +373,17 @@ def test_chunked_log_cosh_is_bitwise(k, nodes, monkeypatch):
                                  QuadratureSpec(nodes_per_level=nodes))
     offset = rng.normal(size=3)
     coeffs = rng.uniform(0.0, 2.0, (3, k + 1))
+    # three lanes on the tensor grid beside three that may take grids
+    wide = _wide_lanes(rng, 3, k)
+    offset, coeffs = np.r_[offset, wide[0]], np.r_[coeffs, wide[1]]
+    budget = 7 * 3 * nodes ** k
     _one_chunk(monkeypatch)
     want, _ = quadrature.plan_log_cosh(plan, offset, coeffs)
-    for cpus in (1, 2, 3):
-        _chunked(monkeypatch, 7 * 3 * nodes ** k, cpus)
-        got, failed = quadrature.plan_log_cosh(plan, offset, coeffs)
-        assert got.tobytes() == want.tobytes() and not failed
+    _chunked(monkeypatch, budget)
+    got, failed = quadrature.plan_log_cosh(plan, offset, coeffs)
+    assert got.tobytes() == want.tobytes() and not failed
+    _walks_chunked_tensor(monkeypatch, quadrature.plan_log_cosh, plan, *wide,
+                          budget)
 
 
 @pytest.mark.parametrize("k,nodes", CHUNKED_PLANS)
@@ -377,31 +394,18 @@ def test_chunked_moments_are_bitwise(k, nodes, monkeypatch):
     offset = rng.normal(size=5)
     coeffs = rng.uniform(0.0, 2.0, (5, k + 1))
     offset[2] = np.nan             # a failed lane among four finite ones
+    # three lanes on the tensor grid beside those that may take grids
+    wide = _wide_lanes(rng, 3, k)
+    offset, coeffs = np.r_[offset, wide[0]], np.r_[coeffs, wide[1]]
+    budget = 7 * 4 * nodes ** k
     _one_chunk(monkeypatch)
     want, want_failed = quadrature.plan_moments(plan, offset, coeffs)
-    for cpus in (1, 2, 3):
-        _chunked(monkeypatch, 7 * 4 * nodes ** k, cpus)
-        got, failed = quadrature.plan_moments(plan, offset, coeffs)
-        assert got.tobytes() == want.tobytes()
-        assert failed.keys() == want_failed.keys() == {2}
-
-
-def test_chunks_on_more_threads_than_cores(monkeypatch):
-    # eight threads on one-node chunks, switching as often as the
-    # interpreter allows: every chunk still lands in its own slice once
-    plan = quadrature.level_plan((0.4,), QuadratureSpec(nodes_per_level=40))
-    rng = np.random.default_rng(60)
-    offset, coeffs = rng.normal(size=3), rng.uniform(0.0, 2.0, (3, 2))
-    want, _ = quadrature.plan_moments(plan, offset, coeffs)
-    _chunked(monkeypatch, 3 * 40, 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            got, _ = quadrature.plan_moments(plan, offset, coeffs)
-            assert got.tobytes() == want.tobytes()
-    finally:
-        sys.setswitchinterval(interval)
+    _chunked(monkeypatch, budget)
+    got, failed = quadrature.plan_moments(plan, offset, coeffs)
+    assert got.tobytes() == want.tobytes()
+    assert failed.keys() == want_failed.keys() == {2}
+    _walks_chunked_tensor(monkeypatch, quadrature.plan_moments, plan, *wide,
+                          budget)
 
 
 def test_chunked_solve_is_bitwise(monkeypatch):
@@ -410,7 +414,7 @@ def test_chunked_solve_is_bitwise(monkeypatch):
     _one_chunk(monkeypatch)
     want = solve_model(*args)
     # lanes leave the block as they converge, so the chunk width varies
-    _chunked(monkeypatch, 5 * 13 ** 2, 2)
+    _chunked(monkeypatch, 5 * 13 ** 2)
     got = solve_model(*args)
     assert got == want
     assert all(r.residual_history for r in got)
@@ -418,13 +422,13 @@ def test_chunked_solve_is_bitwise(monkeypatch):
 
 def _fault_at_last_node(monkeypatch, fault):
     """Make the chunk that holds the largest outer node fail, and
-    return the list of threads it ran on."""
+    return the list of its outer-node counts, one per run."""
     build = quadrature._field_tensor
     where = []
 
     def failing(offset, coeffs, nodes):
         if nodes[0][-1] == nodes[1][-1]:     # every level has one rule
-            where.append(threading.current_thread())
+            where.append(len(nodes[0]))
             fault()
         return build(offset, coeffs, nodes)
 
@@ -449,38 +453,33 @@ KERNELS = pytest.mark.parametrize("kernel", [
 @KERNELS
 @pytest.mark.parametrize("fault,error", [(_injected, LookupError),
                                          (_overflow, RuntimeWarning)])
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_chunk_failure_reaches_caller(kernel, fault, error, cpus, monkeypatch):
+@pytest.mark.parametrize("size", [1, 2])
+def test_chunk_failure_reaches_caller(kernel, fault, error, size, monkeypatch):
     where = _fault_at_last_node(monkeypatch, fault)
-    # 16 outer nodes in 6 chunks: the last one falls to the helper thread
-    _chunked(monkeypatch, 3 * 16, cpus)
-    alive = threading.active_count()
+    # 16 outer nodes in chunks of ``size``: the last one fails
+    _chunked(monkeypatch, size * 16)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(error):
             kernel(0.3, [0.8, 0.5], (0.5,), QuadratureSpec(nodes_per_level=16))
-    assert (where[0] is threading.main_thread()) == (cpus == 1)
-    assert threading.active_count() == alive
+    assert where == [size]
 
 
 @KERNELS
 @pytest.mark.parametrize("points", [1 << 17, 16])
 def test_error_state_holds_in_every_chunk(kernel, points, monkeypatch):
     # only the outermost node's fields pass 354, where exp(-2|x|)
-    # underflows; in 16 one-node chunks on two CPUs that node's chunk
-    # runs on the helper thread
+    # underflows; in 16 one-node chunks that node has a chunk of its own
     where = _fault_at_last_node(monkeypatch, lambda: None)
-    _chunked(monkeypatch, points, 2)
+    _chunked(monkeypatch, points)
     args = (40.0, [50.0, 1.0], (0.5,), QuadratureSpec(nodes_per_level=16))
-    alive = threading.active_count()
     value = kernel(*args)
-    assert (where[0] is threading.main_thread()) == (points > 16)
+    assert where == [1 if points == 16 else 16]
     with np.errstate(under="raise"):
         with pytest.raises(FloatingPointError):
             kernel(*args)
     _one_chunk(monkeypatch)
     assert kernel(*args) == value
-    assert threading.active_count() == alive
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -497,8 +496,16 @@ def test_collapse_invariance(k):
     assert merged == pytest.approx(base, abs=1e-12)
 
 
+def _tensor_only(monkeypatch):
+    """Every level of every lane at its exact points."""
+    monkeypatch.setattr(quadrature, "_exact_depth",
+                        lambda plan, offset, coeffs: np.full(len(coeffs),
+                                                             len(plan.thetas)))
+
+
 def _full_grid(monkeypatch):
     """Every lane on its plan's whole tensor grid, zero levels included."""
+    _tensor_only(monkeypatch)
     monkeypatch.setattr(quadrature, "_without_zero_levels",
                         lambda kernel, plan, offset, coeffs, shape:
                         kernel(plan, offset, coeffs))
@@ -583,6 +590,138 @@ def test_plain_lanes_of_a_mixed_block_are_bitwise(kernel, monkeypatch):
     want, _ = fn(plan, offset, coeffs)
     assert got[plain].tobytes() == want[plain].tobytes()
     assert np.abs(got - want).max() <= 1e-13
+
+
+def _model_fields(rng, count, k):
+    """Field offsets and coefficients as the SK and Hopfield maps build
+    them at ``count`` random points each, then ``count`` lanes with
+    coefficients up to 3, whose grids are the widest."""
+    offset, coeffs = [], []
+    for _ in range(count):
+        a = RsbAnsatz(k=k, m=rng.uniform(-1.0, 1.0),
+                      qs=np.sort(rng.uniform(0.0, 1.0, k + 1)),
+                      thetas=np.sort(rng.uniform(0.05, 0.95, k)))
+        sk = SkParams(beta=rng.uniform(0.3, 1.6), j0=rng.uniform(0.0, 1.0),
+                      j=rng.uniform(0.6, 1.2))
+        offset.append(sk.beta * sk.j0 * a.m)
+        coeffs.append(sk.beta * sk.j * np.sqrt(np.diff(a.qs, prepend=0.0)))
+        hop = HopfieldParams(beta=rng.uniform(0.3, 0.95),
+                             alpha=rng.uniform(0.01, 0.3))
+        ps = np.asarray(hop_p_closed_form(hop, a))
+        offset.append(hop.beta * a.m)
+        coeffs.append(np.sqrt(hop.alpha * hop.beta
+                              * np.diff(ps, prepend=0.0)))
+    offset += list(rng.normal(size=count))
+    coeffs += list(rng.uniform(0.05, 3.0, (count, k + 1)))
+    return np.array(offset), np.array(coeffs)
+
+
+# (k, nodes) of the default plans at depths 2..4
+GRID_PLANS = pytest.mark.parametrize("k,nodes", [(2, 80), (3, 32), (4, 16)])
+
+
+@PLAN_KERNELS
+@GRID_PLANS
+def test_grid_levels_match_the_tensor_grid(kernel, k, nodes, monkeypatch):
+    # every lane runs a level on a grid, and both kernels agree with the
+    # whole tensor grid of the same rule
+    plan = quadrature.level_plan(tuple(np.linspace(0.15, 0.85, k)),
+                                 QuadratureSpec(nodes_per_level=nodes))
+    offset, coeffs = _model_fields(np.random.default_rng(90 + k), 3, k)
+    assert (quadrature._exact_depth(plan, offset, coeffs) < k).all()
+    fn = getattr(quadrature, kernel)
+    got, failed = fn(plan, offset, coeffs)
+    _tensor_only(monkeypatch)
+    want, want_failed = fn(plan, offset, coeffs)
+    assert not failed and not want_failed
+    assert np.abs(got - want).max() <= 1e-13
+
+
+@PLAN_KERNELS
+@pytest.mark.parametrize("k,nodes", [(0, 80), (1, 80), (2, 24), (2, 80),
+                                     (3, 32)])
+def test_exact_lanes_are_the_tensor_grid(kernel, k, nodes, monkeypatch):
+    # a block at depth <= 1 or on 24 nodes never builds a grid, and a
+    # lane whose grids would cost more than the tensor grid is bit for
+    # bit the tensor grid's, beside lanes that take grids
+    plan = quadrature.level_plan(tuple(np.linspace(0.15, 0.85, k)),
+                                 QuadratureSpec(nodes_per_level=nodes))
+    rng = np.random.default_rng(95 + k)
+    offset, coeffs = _model_fields(rng, 2, k)
+    wide = _wide_lanes(rng, 2, k)
+    # and a lane of narrow fields far out, where floats are too coarse
+    # for a grid
+    offset = np.r_[offset, wide[0], 1e10]
+    coeffs = np.r_[coeffs, wide[1], coeffs[:1]]
+    exact = slice(-3, None)
+    fn = getattr(quadrature, kernel)
+    if k <= 1 or nodes == 24:
+        monkeypatch.setattr(quadrature, "_grid_rows", None)
+    else:
+        depth = quadrature._exact_depth(plan, offset, coeffs)
+        assert (depth[exact] == k).all() and (depth[:-3] < k).all()
+    got, _ = fn(plan, offset, coeffs)
+    _tensor_only(monkeypatch)
+    want, _ = fn(plan, offset, coeffs)
+    assert got[exact].tobytes() == want[exact].tobytes()
+    if k <= 1 or nodes == 24:
+        assert got.tobytes() == want.tobytes()
+
+
+@PLAN_KERNELS
+@GRID_PLANS
+def test_grid_lanes_of_a_mixed_block_are_bitwise(kernel, k, nodes):
+    # grids of different widths are padded to the block's, beside a
+    # tensor lane and a failed one: each row is its block of one's
+    plan = quadrature.level_plan(tuple(np.linspace(0.15, 0.85, k)),
+                                 QuadratureSpec(nodes_per_level=nodes))
+    rng = np.random.default_rng(100 + k)
+    offset, coeffs = _model_fields(rng, 2, k)
+    wide = _wide_lanes(rng, 1, k)
+    offset, coeffs = np.r_[offset, wide[0], 0.2], np.r_[coeffs, wide[1],
+                                                         coeffs[:1]]
+    offset[-1] = np.nan
+    depth = quadrature._exact_depth(plan, offset[:-1], coeffs[:-1])
+    assert len(set(depth.tolist())) > 1
+    fn = getattr(quadrature, kernel)
+    got, failed = fn(plan, offset, coeffs)
+    assert list(failed) == [len(offset) - 1]
+    for i in range(len(offset) - 1):
+        one, _ = fn(plan, offset[i:i + 1], coeffs[i:i + 1])
+        assert got[i].tobytes() == one[0].tobytes()
+
+
+@PLAN_KERNELS
+@GRID_PLANS
+@pytest.mark.parametrize("column,value", [(None, np.nan), (1, np.inf),
+                                          (0, 1e308)])
+def test_failed_lanes_beside_grid_lanes(kernel, k, nodes, column, value):
+    # a NaN offset, an infinite coefficient or a field past the largest
+    # double fails without a RuntimeWarning (the suite makes one an
+    # error), and the grid lanes keep their rows and those of blocks of
+    # one
+    plan = quadrature.level_plan(tuple(np.linspace(0.15, 0.85, k)),
+                                 QuadratureSpec(nodes_per_level=nodes))
+    offset, coeffs = _model_fields(np.random.default_rng(110 + k), 1, k)
+    assert (quadrature._exact_depth(plan, offset, coeffs) < k).all()
+    fn = getattr(quadrature, kernel)
+    want, _ = fn(plan, offset, coeffs)
+    for i in range(len(offset)):
+        one, _ = fn(plan, offset[i:i + 1], coeffs[i:i + 1])
+        assert want[i].tobytes() == one[0].tobytes()
+    bad_offset, bad_coeffs = 0.1, coeffs[0].copy()
+    if column is None:
+        bad_offset = value
+    else:
+        bad_coeffs[column] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got, failed = fn(plan, np.r_[offset, bad_offset],
+                         np.r_[coeffs, bad_coeffs[None]])
+    assert list(failed) == [len(offset)]
+    assert isinstance(failed[len(offset)], NonFiniteIntegrand)
+    assert np.isnan(got[-1]).all()
+    assert got[:-1].tobytes() == want.tobytes()
 
 
 def test_theta_continuity():
