@@ -45,25 +45,25 @@ def _cascade(beta, q, th):
     and ``x * x`` does not), so every entry is bit for bit one lane's.
     """
     k = q.shape[1] - 1
-    qd = np.empty(q.shape)
-    qd[:, k] = 1.0 - beta * (1.0 - q[:, k])
+    b = beta[:, None]                   # (lanes, 1) columns, joined once
+    qd = [1.0 - b * (1.0 - q[:, k:])]
     for i in range(k - 1, -1, -1):
-        qd[:, i] = qd[:, i + 1] - beta * th[i] * (q[:, i + 1] - q[:, i])
+        qd.append(qd[-1] - b * th[i] * (q[:, i + 1:i + 2] - q[:, i:i + 1]))
+    qd = qd[0] if k == 0 else np.concatenate(qd[::-1], axis=1)
     failed = {}
-    bad = qd <= 0.0
-    if bad.any():
+    if not np.minimum.reduce(qd, axis=None, initial=math.inf) > 0.0:
+        bad = qd <= 0.0
         for r in np.flatnonzero(bad.any(axis=1)).tolist():
             i = int(np.flatnonzero(bad[r])[-1])
             where = "the innermost level" if i == k else "level %d" % (i + 1)
             failed[r] = SusceptibilityDivergence(
                 "response denominator %r <= 0 at %s" % (float(qd[r, i]), where))
         qd[list(failed)] = np.nan
-    ps = np.empty(q.shape)
-    ps[:, 0] = beta * q[:, 0] / np.float_power(qd[:, 0], 2)
+    ps = [b * q[:, :1] / np.float_power(qd[:, :1], 2)]
     for i in range(1, k + 1):
-        ps[:, i] = ps[:, i - 1] + beta * (q[:, i] - q[:, i - 1]) / (
-            qd[:, i] * qd[:, i - 1])
-    return qd, ps, failed
+        ps.append(ps[-1] + b * (q[:, i:i + 1] - q[:, i - 1:i]) / (
+            qd[:, i:i + 1] * qd[:, i - 1:i]))
+    return qd, ps[0] if k == 0 else np.concatenate(ps, axis=1), failed
 
 
 def _one_cascade(beta, ansatz):
@@ -102,9 +102,9 @@ def _field_coeffs(alpha_beta, ps):
     conjugate plateaus ``ps`` (last axis: a validated ansatz's, or the
     closed form of ordered overlaps); ``alpha_beta`` broadcasts against
     them."""
-    p = np.asarray(ps, dtype=float)
-    dp = p.copy()
-    dp[..., 1:] = p[..., 1:] - p[..., :-1]
+    dp = np.asarray(ps, dtype=float)
+    if dp.shape[-1] > 1:
+        dp = np.concatenate((dp[..., :1], np.diff(dp)), axis=-1)
     return np.sqrt(alpha_beta * dp)
 
 
@@ -125,9 +125,9 @@ def _pressure_block(lanes, plan, x, ps=None):
     qd, conj, failed = _cascade(beta, q, th)
     if ps is not None:
         conj = np.array(ps, dtype=float)
-    free = alpha == 0.0
-    if free.any():
-        failed = {i: exc for i, exc in failed.items() if not free[i]}
+    free = [i for i, a in enumerate(alpha.tolist()) if a == 0.0]
+    if free:
+        failed = {i: exc for i, exc in failed.items() if i not in free}
         qd[free], conj[free] = 1.0, 0.0
     half = 0.5 * alpha
     tower, mix = np.zeros(len(x)), np.zeros(len(x))
@@ -139,8 +139,9 @@ def _pressure_block(lanes, plan, x, ps=None):
     tower = half * tower
     logterm = -half * _log(qd[:, k])
     qterm = half * beta * q[:, 0] / qd[:, 0]
-    pterm = -half * beta * conj[:, k] * (1.0 - q[:, k])
-    mix = -half * beta * mix
+    nhb = -half * beta
+    pterm = nhb * conj[:, k] * (1.0 - q[:, k])
+    mix = nhb * mix
     bias = -0.5 * beta * m * m
     terms = {"field": field, "response_tower": tower, "response_log": logterm,
              "overlap_source": qterm, "conjugate_source": pterm + mix,
@@ -195,9 +196,9 @@ def hop_sce_rs(params, m, q, spec=None):
 
 def _lanes(params_seq):
     """Per-lane map constants (beta, alpha, alpha beta) of a block of
-    points."""
+    points, column-major."""
     return np.array([(p.beta, p.alpha, p.alpha * p.beta) for p in params_seq],
-                    dtype=float)
+                    dtype=float, order="F")
 
 
 def _sce_step(lanes, plan, x, ps=None):
@@ -213,7 +214,7 @@ def _sce_step(lanes, plan, x, ps=None):
     rounds differently) and enter the kernel with zero conjugates.
     """
     beta = lanes[:, 0]
-    free = np.flatnonzero(lanes[:, 1] == 0.0).tolist()
+    free = [i for i, a in enumerate(lanes[:, 1].tolist()) if a == 0.0]
     out, failed = np.empty(x.shape), {}
     if len(free) < len(x):
         if ps is None:

@@ -241,9 +241,13 @@ class LevelPlan:
 
 
 def level_plan(thetas=(), spec=None):
-    """Check the exponents and lay out the levels of a depth-k average."""
-    spec = _DEFAULT_SPEC if spec is None else spec
-    thetas = _check_thetas(thetas)
+    """Check the exponents and lay out the levels of a depth-k average;
+    a plan is immutable, so one per exponents and spec is shared."""
+    return _laid_out(_check_thetas(thetas), spec or _DEFAULT_SPEC)
+
+
+@lru_cache(maxsize=256)
+def _laid_out(thetas, spec):
     nodes, weights = _hermite_nodes(_plan_levels(len(thetas) + 1, spec))
     th = thetas + (1.0,)
     inner = tuple((weights, th[i - 1] / th[i])
@@ -365,12 +369,24 @@ def plan_moments(plan, offset, coeffs):
                                 "field or nested moment is not finite")
     # the finite outputs are clipped as min(hi, max(lo, v)), plateaus
     # outermost first and made non-decreasing
-    lo = np.zeros(out.shape[1])
-    lo[0] = -1.0
-    x = np.minimum(np.maximum(out, lo), 1.0)
+    lo, hi = _clip_bounds(*out.shape)
+    x = np.maximum(out, lo)
+    np.minimum(x, hi, out=x)
     if out.shape[1] > 2:
         x[:, 1:] = np.maximum.accumulate(x[:, :0:-1], axis=1)
     return x, failed
+
+
+@lru_cache(maxsize=16)
+def _clip_bounds(lanes, width):
+    """-1 <= m <= 1 and 0 <= q_a <= 1 at every entry of a block of
+    moment rows, column-major like them: clips by plain elementwise calls."""
+    lo = np.zeros((lanes, width), order="F")
+    lo[:, 0] = -1.0
+    hi = np.ones((lanes, width), order="F")
+    lo.setflags(write=False)
+    hi.setflags(write=False)
+    return lo, hi
 
 
 def _finite_lanes(kernel, plan, offset, coeffs, shape, what):
@@ -378,17 +394,19 @@ def _finite_lanes(kernel, plan, offset, coeffs, shape, what):
     finite on the whole grid, one row of ``shape`` each (NaN for the
     others, which are not evaluated), and a dict from row to a
     ``NonFiniteIntegrand(what)`` for each lane whose field or row is not
-    finite."""
+    finite.  A lane's largest |field| is |offset| + h_max sum |c_a|; one
+    reduction bounds all (no numpy warnings), and below 2^1000 one sum
+    shows finite rows.  The per-lane tests run where either fails."""
     lanes = len(offset)
     if not lanes:
         return np.empty((0,) + shape), {}
-    # the largest |field| on a lane's grid is |offset| + h_max sum |c_a|;
-    # these Python floats bound every lane's, without numpy's warnings
     hmax = float(plan.nodes[0][-1])
-    if math.isfinite(float(np.maximum.reduce(np.abs(offset)))
-                     + hmax * coeffs.shape[1]
-                     * float(np.maximum.reduce(np.abs(coeffs), axis=None))):
+    top = np.maximum.reduce(np.abs(np.concatenate((offset[:, None], coeffs),
+                                                  axis=1)), axis=None)
+    if (1.0 + hmax * coeffs.shape[1]) * float(top) < 2.0 ** 1000:
         out = _without_zero_levels(kernel, plan, offset, coeffs, shape)
+        if math.isfinite(np.add.reduce(out, axis=None)):
+            return out, {}
     else:
         with np.errstate(over="ignore"):
             finite = np.isfinite(np.abs(offset)
@@ -397,13 +415,10 @@ def _finite_lanes(kernel, plan, offset, coeffs, shape, what):
         if finite.any():
             out[finite] = _without_zero_levels(kernel, plan, offset[finite],
                                                coeffs[finite], shape)
-    failed = {}
-    if not np.isfinite(out).all():
-        bad = ~np.isfinite(out.reshape(lanes, -1)).all(axis=1)
-        out[bad] = np.nan
-        failed = {i: NonFiniteIntegrand(what)
-                  for i in np.flatnonzero(bad).tolist()}
-    return out, failed
+    bad = ~np.isfinite(out.reshape(lanes, -1)).all(axis=1)
+    out[bad] = np.nan
+    return out, {i: NonFiniteIntegrand(what)
+                 for i in np.flatnonzero(bad).tolist()}
 
 
 def _without_zero_levels(kernel, plan, offset, coeffs, shape):

@@ -20,17 +20,17 @@ from .quadrature import level_plan, plan_log_cosh, plan_moments
 
 def _lanes(params_seq):
     """Per-lane constants (beta j0, beta j, beta, j0) of a block of
-    points; the map reads the first two."""
+    points, column-major; the map reads the first two."""
     return np.array([(p.beta * p.j0, p.beta * p.j, p.beta, p.j0)
-                     for p in params_seq], dtype=float)
+                     for p in params_seq], dtype=float, order="F")
 
 
 def _field(lanes, x):
     """Field offsets and coefficients of a block of flat vectors
     [m, q_1..q_{k+1}], one row per lane."""
-    q = x[:, 1:]
-    dq = q.copy()
-    dq[:, 1:] = q[:, 1:] - q[:, :-1]
+    dq = x[:, 1:]
+    if dq.shape[1] > 1:
+        dq = np.concatenate((dq[:, :1], np.diff(dq)), axis=1)
     return lanes[:, 0] * x[:, 0], lanes[:, 1, None] * np.sqrt(dq)
 
 
@@ -43,10 +43,6 @@ def _sce_step(lanes, plan, x):
     return plan_moments(plan, *_field(lanes, x))
 
 
-def _flat(ansatz):
-    return np.array([(ansatz.m,) + ansatz.qs])
-
-
 def _pressure_block(lanes, plan, x):
     """Pressures, their terms and a dict from row to each failed lane's
     ``NonFiniteIntegrand`` for a block of admissible flat vectors, as
@@ -56,7 +52,7 @@ def _pressure_block(lanes, plan, x):
     """
     field, failed = plan_log_cosh(plan, *_field(lanes, x))
     q = x[:, 1:]
-    dth = np.diff((0.0,) + plan.thetas + (1.0,))
+    dth = np.subtract(plan.thetas + (1.0,), (0.0,) + plan.thetas)
     bracket = 1.0 - 2.0 * q[:, -1] + np.vecdot(q * q, dth)
     overlap = 0.25 * np.float_power(lanes[:, 1], 2) * bracket
     bias = -0.5 * lanes[:, 2] * lanes[:, 3] * x[:, 0] * x[:, 0]
@@ -87,7 +83,8 @@ def sk_pressure_krsb(params, ansatz, spec=None):
         raise TypeError("params must be SkParams")
     a = validate_ansatz(ansatz)
     pressure, terms, failed = _pressure_block(
-        _lanes([params]), level_plan(a.thetas, spec), _flat(a))
+        _lanes([params]), level_plan(a.thetas, spec),
+        np.array([(a.m,) + a.qs]))
     if failed:
         raise failed[0]
     return Evaluation(pressure=pressure[0],
@@ -101,7 +98,7 @@ def sk_sce_krsb(params, ansatz, spec=None):
     """
     a = validate_ansatz(ansatz)
     x, failed = _sce_step(_lanes([params]), level_plan(a.thetas, spec),
-                          _flat(a))
+                          np.array([(a.m,) + a.qs]))
     if failed:
         raise failed[0]
     return replace(a, m=x[0, 0], qs=x[0, 1:])

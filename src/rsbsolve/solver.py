@@ -2,14 +2,14 @@
 optimization.
 
 The driver is generic: it iterates any map over scalars, arrays or
-hierarchical trial points.  Trial-point iterates are projected back onto
-the admissible set (clipped magnetization, clipped non-decreasing
-plateaus) after every damped step, which keeps every intermediate state
-constructible.  One loop serves everything: it iterates a block of
-lanes in lockstep, and ``solve_grid`` makes every (parameter point,
-start) pair a lane, mapped on flat vectors by each model's block step
-with one quadrature plan per exponent set; ``solve_model`` and
-``damped_fixed_point`` are its one-point and one-lane cases.
+hierarchical trial points.  A damped step between two admissible trial
+points is admissible (see ``_projection``), which keeps every
+intermediate state constructible.  One loop serves everything: it
+iterates a block of lanes in lockstep, and ``solve_grid`` makes every
+(parameter point, start) pair a lane, mapped on flat vectors by each
+model's block step with one quadrature plan per exponent set;
+``solve_model`` and ``damped_fixed_point`` are its one-point and
+one-lane cases.
 """
 
 from __future__ import annotations
@@ -67,13 +67,8 @@ _DEFAULT_OPTIONS = SolverOptions()
 def isotonic_nondecreasing(y):
     """Least-squares projection onto non-decreasing sequences (pool
     adjacent violators, unit weights)."""
-    return np.array(_pool_adjacent(np.asarray(y, dtype=float).tolist()))
-
-
-def _pool_adjacent(values):
-    vals = []
-    counts = []
-    for v in values:
+    vals, counts = [], []
+    for v in np.asarray(y, dtype=float).tolist():
         vals.append(v)
         counts.append(1)
         while len(vals) > 1 and vals[-2] > vals[-1]:
@@ -83,10 +78,7 @@ def _pool_adjacent(values):
             counts.pop()
             vals[-1] = merged
             counts[-1] = total
-    out = []
-    for v, c in zip(vals, counts):
-        out += [v] * c
-    return out
+    return np.array([v for v, c in zip(vals, counts) for _ in range(c)])
 
 
 def _flatten(ansatz):
@@ -102,36 +94,15 @@ def _unflatten(vec, template):
     return replace(template, m=vec[0], qs=vec[1:k + 2], ps=ps)
 
 
-def _projection(k, width=None):
-    """Projection of a block of flat iterates [m, q_1..q_{k+1}, (p_1..)]
-    of ``width`` entries (default k+2), one row per lane, onto the
-    admissible set: clipped magnetization, clipped non-decreasing
-    overlaps, non-negative non-decreasing conjugates.
-
-    The loop only projects finite rows, where min(hi, max(lo, v)) per
-    entry gives the values of the plain-float clips (a plateau at -0.0
-    comes out +0.0; the model maps never produce one).  Only rows with
-    a decreasing adjacent pair go through pool adjacent violators, which
-    leaves every other row as it is.
-    """
-    width = k + 2 if width is None else width
+def _projection(width):
+    """Projection onto the admissible set of a block of flat trial
+    points [m, q_1..q_{k+1}, (p_1..)], damped from admissible ones.  Those
+    are admissible already (rounding is monotone, fl(1 - g) + g rounds
+    to 1) but for the sign of a zero plateau: max(0, v) makes it +0.0,
+    as the plain-float clips do."""
     lo = np.zeros(width)
     lo[0] = -1.0
-    hi = np.full(width, math.inf)
-    hi[:k + 2] = 1.0
-    parts = [part for part in (slice(1, k + 2), slice(k + 2, width))
-             if part.stop - part.start > 1]
-
-    def project(x):
-        x = np.minimum(np.maximum(x, lo), hi)
-        for part in parts:
-            block = x[:, part]
-            bad = (block[:, :-1] > block[:, 1:]).any(axis=1)
-            if bad.any():
-                for i in np.flatnonzero(bad):
-                    block[i] = _pool_adjacent(block[i].tolist())
-        return x
-    return project
+    return lambda x: np.maximum(x, lo)
 
 
 _STALL_WINDOW = 300
@@ -144,11 +115,22 @@ def _iterate(step, x, opts, project=None, consts=None):
     the iterates ``xs`` of the running lanes, ``c`` being their rows of
     ``consts`` (default: lane numbers, re-sliced only as lanes leave),
     into the mapped rows and a dict from position to the ``DomainError``
-    or ``NonFiniteIntegrand`` of each failed lane.  Each lane keeps its
+    or ``NonFiniteIntegrand`` of each failed lane; ``project`` (if any)
+    maps each damped block onto the admissible set.  Each lane keeps its
     own damping, stall counter and residual history, and leaves when it
     converges, fails or goes non-finite, so its numbers are those of a
     block of one.  Returns one SolveReport per lane; its ``ansatz`` is
     the last point mapped, or the next damped step at the cap.
+
+    Cost: an iteration is one map application plus a fixed number of
+    numpy calls, whatever the lane count.  At k=0 on 80 nodes that fixed
+    cost dominates (about 24 us an iteration of one pairwise lane, 32 us
+    of a pattern-model lane, on a 2-vCPU VM), so the common step (no
+    lane leaves, fails or stalls) takes one reduction, tests the
+    residuals as Python floats and keeps every per-lane array
+    column-major like the map's rows, the damping at every entry: no
+    call broadcasts or mixes layouts.  At k >= 1 the kernel dominates
+    (about 180 us for two pairwise lanes at k=1).
     """
     lanes = len(x)
     final = x.copy()
@@ -156,12 +138,13 @@ def _iterate(step, x, opts, project=None, consts=None):
     converged = np.zeros(lanes, dtype=bool)
     errors = [None] * lanes
     floor = opts.damping / 32.0
-    # per running lane, aligned with ``rows``: damping as a column and
-    # its complement, best residual, and the iteration that last
-    # improved on it or halved the damping
+    # per running lane, aligned with ``rows``: damping and its
+    # complement (every entry of a row), best residual, and the
+    # iteration that last improved on it or halved the damping
     rows = np.arange(lanes)
     consts = rows if consts is None else consts
-    gamma = np.full((lanes, 1), opts.damping)
+    x = np.asfortranarray(x)
+    gamma = np.full_like(x, opts.damping)
     rest = 1.0 - gamma
     best = np.full(lanes, math.inf)
     mark = np.zeros(lanes, dtype=int)
@@ -170,10 +153,11 @@ def _iterate(step, x, opts, project=None, consts=None):
     for it in range(1, opts.max_iter + 1):
         fx, failed = step(consts, x)
         d = fx - x
-        residual = np.abs(d, out=d).max(axis=1)
-        # the common step: every lane runs on (NaN fails the first test)
-        if (failed or not residual.min() > opts.tol
-                or residual.max() == math.inf):
+        residual = np.maximum.reduce(np.abs(d, out=d), axis=1)
+        # the common step: every lane runs on (a NaN or inf residual
+        # fails the sum, so min compares floats)
+        r = residual.tolist()
+        if failed or not sum(r) < math.inf or not min(r) > opts.tol:
             finite = np.isfinite(residual)
             stop = ~finite | (residual <= opts.tol)
             ok = np.ones(len(rows), dtype=bool)
@@ -192,16 +176,17 @@ def _iterate(step, x, opts, project=None, consts=None):
             keep = ~left
             if not keep.any():
                 break
-            rows, x, fx, residual = rows[keep], x[keep], fx[keep], residual[keep]
-            consts, gamma, rest = consts[keep], gamma[keep], rest[keep]
+            rows, fx, residual = rows[keep], fx[keep], residual[keep]
             best, mark = best[keep], mark[keep]
+            x, gamma, rest, consts = (np.asfortranarray(a[keep])
+                                      for a in (x, gamma, rest, consts))
         else:
             trace.append((rows, residual))
         # a residual that stops improving for _STALL_WINDOW iterations
         # halves the lane's damping
         better = residual < 0.99 * best
-        np.copyto(best, residual, where=better)
-        np.copyto(mark, it, where=better)
+        np.putmask(best, better, residual)
+        np.putmask(mark, better, it)
         if it >= due:
             halve = (it - mark >= _STALL_WINDOW) & (gamma[:, 0] > floor)
             if halve.any():
@@ -210,7 +195,8 @@ def _iterate(step, x, opts, project=None, consts=None):
                 mark[halve] = it
             due = _STALL_WINDOW + np.min(mark[gamma[:, 0] > floor],
                                          initial=opts.max_iter)
-        x = rest * x + gamma * fx
+        x = rest * x
+        x += gamma * fx
         if project is not None:
             x = project(x)
     else:
@@ -247,7 +233,7 @@ def damped_fixed_point(f, x0, options=None):
         vec = lambda x: _flatten(f(_unflatten(x, x0)))
         flat = _flatten(x0)
         rep = _iterate(_one_lane(vec), flat[None], opts,
-                       _projection(x0.k, flat.size))[0]
+                       _projection(flat.size))[0]
         return rep.with_fields(ansatz=_unflatten(rep.ansatz, x0))
     if np.ndim(x0) == 0:
         vec = lambda x: np.atleast_1d(np.asarray(f(float(x[0])), dtype=float))
@@ -425,14 +411,15 @@ def solve_grid(model, params_seq, k=0, thetas=(), spec=None, options=None,
     for th, members in groups.items():
         plan = level_plan(th, spec)
         size = max(1, spec.max_tensor_points // plan.points)
-        project = _projection(len(th))
         for b in range(0, len(members), size):
             block = members[b:b + size]
             params = [points[lanes[j][0]] for j in block]
             consts = constants(params)
             x0 = np.array([(lanes[j][2].m,) + lanes[j][2].qs for j in block])
+            # unprojected: the maps return admissible rows with +0.0
+            # plateaus, so ``_projection`` would change no bit
             reps = _iterate(lambda c, x, plan=plan: step(c, plan, x), x0,
-                            opts, project, consts)
+                            opts, None, consts)
             reps = _finish(model, params, plan, consts,
                            [lanes[j][1:] for j in block], reps)
             for j, rep in zip(block, reps):
@@ -524,15 +511,14 @@ def _dedupe(reports, tol=1e-7):
     iterated (m, qs) agree to ``tol``.  The slaved conjugates ``ps`` are
     not compared: a large p (about 100 on a cold pattern model) turns
     an agreement in q far below ``tol`` into a gap above it."""
-    def iterated(a):
-        return np.r_[a.m, a.qs]
-
     kept = []
     for rep in reports:
+        a = rep.ansatz
         if not any(rep.converged and other.converged
-                   and isinstance(rep.ansatz, RsbAnsatz)
-                   and np.max(np.abs(iterated(rep.ansatz)
-                                     - iterated(other.ansatz))) < tol
+                   and isinstance(a, RsbAnsatz)
+                   and max(abs(u - v) for u, v in
+                           zip((a.m,) + a.qs,
+                               (other.ansatz.m,) + other.ansatz.qs)) < tol
                    for other in kept):
             kept.append(rep)
     return kept

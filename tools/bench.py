@@ -15,9 +15,14 @@ on even repeats and the change first on odd ones, and reads the record
 each run leaves in ``.perfbench-out/``.  The file gets, per workload and
 side, every run's end-to-end metrics and ``failed_frac`` with their
 medians and quartiles, and per metric the pairs in which the change was
-better; at the top the git shas, the net line count of ``src/`` and the
-Tier-1 wall time of both sides.  ``--merge`` keeps the workloads of an
-existing file that this run does not measure.
+better; at the top the git shas, the net line count of ``src/``, the
+Tier-1 wall time of both sides and, always, the machine-independent
+counts of one seed-0 pass of ``rs_sweep`` and ``rsb_solve`` per side:
+map calls and lane-steps, counted in-process by a wrapper on
+``rsbsolve.sk.plan_moments`` and ``rsbsolve.hopfield.plan_moments``
+(every map application calls one of them once, with one row per
+running lane).  ``--merge`` keeps the workloads of an existing file
+that this run does not measure.
 """
 
 import argparse
@@ -71,6 +76,42 @@ def _run(root, workload, seed, seconds):
         raise SystemExit("%s on %s failed:\n%s" % (workload, root, proc.stderr))
     out = root / ".perfbench-out" / ("%s-seed%d-trace0.json" % (workload, seed))
     return json.loads(out.read_text())
+
+
+# one seed-0 pass of the named workloads in a fresh interpreter at the
+# checkout's root, counting map calls and lane-steps; prints JSON
+_COUNT = r"""
+import json, sys
+sys.path.insert(0, "perfbench")
+import package
+from workloads import WORKLOADS
+rsb = package.load()
+counts = {}
+for mod in (rsb.sk, rsb.hopfield):
+    def counted(plan, offset, coeffs, kernel=mod.plan_moments):
+        counts["map_calls"] += 1
+        counts["lane_steps"] += len(offset)
+        return kernel(plan, offset, coeffs)
+    mod.plan_moments = counted
+out = {}
+for name in sys.argv[1:]:
+    counts.update(map_calls=0, lane_steps=0)
+    for item in WORKLOADS[name].items(0):
+        WORKLOADS[name].call(rsb, item)
+    out[name] = dict(counts)
+print(json.dumps(out))
+"""
+COUNTED = ("rs_sweep", "rsb_solve")
+
+
+def _counts(root):
+    """Map calls and lane-steps of one seed-0 pass per counted workload
+    on the checkout at ``root``."""
+    proc = subprocess.run([sys.executable, "-c", _COUNT, *COUNTED], cwd=root,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit("counting on %s failed:\n%s" % (root, proc.stderr))
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def _tier1(root):
@@ -155,6 +196,9 @@ def main(argv=None):
     })
     record["src_lines"]["net"] = (record["src_lines"]["change"]
                                   - record["src_lines"]["parent"])
+    record["counts"] = {side: _counts(root) for side, root in sides.items()}
+    record["counts"]["identical"] = (record["counts"]["parent"]
+                                     == record["counts"]["change"])
     for workload in workloads:
         runs = {"parent": [], "change": []}
         for rep in range(args.repeats):
