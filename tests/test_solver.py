@@ -383,7 +383,7 @@ def test_grid_reports_match_recorded_bits(case):
 
 
 # two rows of the k=0 CLI sweep benchmark at its default seed (the slow
-# pairwise row, whose last lane runs 738 iterations, and the hottest
+# pairwise row, whose last lane runs 738 iterations, and the coldest
 # pattern-model row) and the SHA-256 of their stdout, recorded at 65358f5
 _SWEEP_GOLDENS = [
     (("sk", "1.8929795895237467", "j0=0.0:1.4064228032236323:8"),
