@@ -26,11 +26,12 @@ from .core import (
     QuadratureSpec,
     RangeViolation,
     RsbAnsatz,
+    ShapeMismatch,
     SolveReport,
 )
 from . import hopfield as _hop
 from . import sk as _sk
-from .quadrature import level_plan
+from .quadrature import THETA_FLOOR, level_plan
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,6 @@ class SolverOptions:
     damping: float = 0.5
     tol: float = 1e-10
     max_iter: int = 20000
-    multistart: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "damping", float(self.damping))
@@ -221,7 +221,8 @@ def damped_fixed_point(f, x0, options=None):
 
     Works on scalars, arrays and trial points; a trial point is
     flattened once, iterated as a vector and projected back onto the
-    admissible set after every damped step.  A residual that stops
+    admissible set after every damped step, and an image of another flat
+    width than the start raises ``ShapeMismatch``.  A residual that stops
     improving for a stretch (a damping-induced limit cycle) halves the
     damping factor, down to 1/32 of the requested value.  Hitting the
     iteration cap or a domain failure of the map is reported through
@@ -249,9 +250,13 @@ def _one_lane(f):
     """A map of one flat vector as a block step over a single lane."""
     def step(_, x):
         try:
-            return f(x[0])[None], {}
+            fx = f(x[0])
         except DomainError as exc:
             return np.full_like(x, np.nan), {0: exc}
+        if fx.shape != x[0].shape:
+            raise ShapeMismatch("the map takes %d flat entries to %d"
+                                % (x.shape[1], fx.size))
+        return fx[None], {}
     return step
 
 
@@ -264,26 +269,27 @@ def stationarity_check(pressure_fn, ansatz, step=1e-5):
     second-order stencil so points on the admissible boundary still get
     checked.  This is the one-point case of ``_gradient``.
     """
-    def at(vec):
-        return pressure_fn(replace(ansatz, m=float(vec[0]),
-                                   qs=tuple(vec[1:])))
-
-    def values(_, rows):
-        out = []
-        for vec in rows:
-            try:
-                out.append(at(vec))
-            except (DomainError, RangeViolation, OrderingViolation):
-                out.append(math.nan)
-        return np.array(out)
-
-    base = np.concatenate([[ansatz.m], ansatz.qs])
-    grad = _gradient(values, base[None], lambda _: at(base), step)[0]
+    grad = _point_gradient(
+        lambda v: pressure_fn(replace(ansatz, m=float(v[0]), qs=tuple(v[1:]))),
+        np.concatenate([[ansatz.m], ansatz.qs]), step)
     missing = np.flatnonzero(np.isnan(grad))
     if len(missing):
         raise RangeViolation("no admissible finite-difference stencil for "
                              "coordinate %d" % missing[0])
     return float(np.max(np.abs(grad)))
+
+
+def _point_gradient(at, base, step):
+    """``_gradient`` of ``at`` at the single point ``base``; ``at`` may
+    raise a domain or admissibility error, which counts as no value."""
+    def value(vec):
+        try:
+            return at(vec)
+        except (DomainError, RangeViolation, OrderingViolation):
+            return math.nan
+
+    return _gradient(lambda _, rows: np.array([value(v) for v in rows]),
+                     base[None], lambda _: at(base), step)[0]
 
 
 def _gradient(values, x, base, step):
@@ -333,7 +339,7 @@ _BLOCKS = {"sk": (_sk._sce_step, _sk._pressure_block, _sk._lanes),
            "hopfield": (_hop._sce_step, _hop._pressure_block, _hop._lanes)}
 
 
-def default_starts(model, params, k, thetas=(), multistart=True):
+def default_starts(model, params, k, thetas=()):
     """Warm starts: an aligned high-overlap point and a cold
     low-overlap point.
 
@@ -352,7 +358,7 @@ def default_starts(model, params, k, thetas=(), multistart=True):
     cold = RsbAnsatz(k=k, m=0.0,
                      qs=tuple(np.linspace(lo_cold, hi_cold, k + 1)),
                      thetas=thetas, ps=None)
-    return [hot, cold] if multistart else [hot]
+    return [hot, cold]
 
 
 def solve_model(model, params, k=0, thetas=(), spec=None, options=None,
@@ -392,7 +398,7 @@ def solve_grid(model, params_seq, k=0, thetas=(), spec=None, options=None,
     for p, params in enumerate(points):
         own = starts
         if own is None:
-            own = default_starts(model, params, k, thetas, opts.multistart)
+            own = default_starts(model, params, k, thetas)
         for i, start in enumerate(own):
             if model == "hopfield" and start.ps is not None:
                 # the map iterates with slaved conjugates
@@ -527,8 +533,7 @@ def _dedupe(reports, tol=1e-7):
 @dataclass(frozen=True)
 class ThetaExtremum:
     """Outcome of the exponent search: optimized exponents, the solve at
-    the optimum, per-exponent degeneracy flags and central second
-    differences."""
+    the optimum, per-exponent degeneracy flags and Hessian diagonal."""
 
     thetas: tuple
     pressure: float
@@ -537,111 +542,107 @@ class ThetaExtremum:
     curvature: tuple
 
 
-def golden_section_min(fn, lo, hi, tol=1e-3):
-    """Deterministic golden-section minimizer on [lo, hi]."""
-    if not (lo < hi):
-        raise BracketViolation("empty bracket [%r, %r]" % (lo, hi))
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return (a + b) / 2.0
-
-
-_THETA_LO = 0.01
-_THETA_HI = 0.99
-_FLAT_EPS = 1e-11
-
-
 def extremize_theta(model, params, k, spec=None, options=None, thetas0=None,
-                    sweeps=2, tol=1e-3):
-    """Coordinate-wise golden-section search over the exponents of the
-    solved pressure (the largest pressure over the converged branches).
+                    tol=1e-3):
+    """Minimize the solved pressure (an upper bound, by Guerra) over the
+    weight exponents: projected, damped BFGS on its envelope gradient,
+    in [THETA_FLOOR, 1 - THETA_FLOOR] and 10 * ``tol`` apart, up to a
+    step below ``tol``.  ``curvature`` is the gradient's secant ``tol``
+    along each exponent.  A level whose plateaus merge (to the square
+    root of the solver's ``tol``) drops out, unmoved, and is flagged
+    degenerate and parked mid-bracket.  README has the details."""
+    theta = np.array(np.arange(1, k + 1) / (k + 1.0) if thetas0 is None
+                     else thetas0, dtype=float)
+    sep, hi = 10.0 * tol, 1.0 - THETA_FLOOR
+    shift, top = sep * np.arange(k), hi - sep * (k - 1)
+    if k < 1 or theta.shape != (k,) or not THETA_FLOOR < top or not (
+            (THETA_FLOOR < theta) & (theta < hi)).all():
+        raise BracketViolation("need k >= 1 starting exponents in (%g, %g),"
+                               " %g apart: %r" % (THETA_FLOOR, hi, sep,
+                                                  thetas0))
+    gap = math.sqrt((options or _DEFAULT_OPTIONS).tol)
+    # floor <= theta_1, theta_a + sep <= theta_{a+1}, theta_k <= hi
+    project = lambda th: np.clip(isotonic_nondecreasing(th - shift),
+                                 THETA_FLOOR, top) + shift
 
-    The exponents minimize it, for both models: Guerra's broken-replica
-    bound makes the pressure an upper bound for every trial exponent, so
-    the best bound is the lowest.  Maximizing would walk back to the
-    flat branch, where the exponent drops out.  A point where no start
-    converges counts as +inf.
+    def gradient(rep):
+        # dP*/dtheta is the stencil at fixed (m, q), since the pressure is
+        # stationary in them (and in closed-form conjugates) at a solve
+        x = np.array([(rep.ansatz.m,) + rep.ansatz.qs])
+        consts = _BLOCKS[model][2]([params])
+        return _point_gradient(lambda th: _pressures(
+            model, level_plan(th, spec), consts, x, 1)[0][0],
+            np.array(rep.ansatz.thetas), _STEP)
 
-    Each exponent moves inside (0.01, 0.99), clipped away from its
-    neighbours; an exponent whose pressure profile is flat across its
-    bracket (a dangling level) is parked at the bracket midpoint and
-    flagged degenerate.  ``curvature`` holds central second differences
-    of the solved pressure at the optimum.
-    """
-    if k < 1:
-        raise BracketViolation("no exponents to optimize at depth 0")
-    spec = spec if spec is not None else QuadratureSpec()
-    if thetas0 is None:
-        thetas = list((np.arange(1, k + 1)) / (k + 1.0))
-    else:
-        thetas = [float(t) for t in thetas0]
-        if len(thetas) != k:
-            raise BracketViolation("need %d starting exponents" % k)
-    for t in thetas:
-        if not (_THETA_LO < t < _THETA_HI):
-            raise BracketViolation(
-                "starting exponent %r outside (%g, %g)" % (t, _THETA_LO, _THETA_HI))
-    cache = {}
+    def solve(th, warm=None):
+        # a merged level stays merged under the map: no warm start
+        th = tuple(th.tolist())
+        if warm is not None and (np.diff(warm.ansatz.qs) > gap).all():
+            rep = solve_model(model, params, k, th, spec, options,
+                              [replace(warm.ansatz, thetas=th)])[0]
+            if rep.converged:
+                return rep
+        reports = solve_model(model, params, k, th, spec, options)
+        return next((r for r in reports if r.converged), reports[0])
 
-    def solved_objective(th_vec):
-        key = tuple(round(t, 12) for t in th_vec)
-        if key not in cache:
-            reports = solve_model(model, params, k, tuple(th_vec), spec, options)
-            best = next((r.pressure for r in reports
-                         if r.converged and r.pressure is not None), None)
-            cache[key] = math.inf if best is None else best
-        return cache[key]
-
-    sep = 10.0 * tol
-    degenerate = [False] * k
-    curvature = [0.0] * k
-    for _ in range(sweeps):
-        for i in range(k):
-            lo = _THETA_LO + tol if i == 0 else thetas[i - 1] + sep
-            hi = _THETA_HI - tol if i == k - 1 else thetas[i + 1] - sep
-            if not (lo < hi):
-                raise BracketViolation(
-                    "no room for exponent %d inside (%r, %r)" % (i + 1, lo, hi))
-
-            def fn(t, i=i):
-                probe = list(thetas)
-                probe[i] = t
-                return solved_objective(probe)
-
-            probes = [fn(lo), fn(0.5 * (lo + hi)), fn(hi)]
-            finite = [abs(p) for p in probes if p != math.inf]
-            scale = max([1.0] + finite)
-            if max(probes) - min(probes) < _FLAT_EPS * scale:
-                thetas[i] = 0.5 * (lo + hi)
-                degenerate[i] = True
-                curvature[i] = 0.0
-                continue
-            t_star = golden_section_min(fn, lo, hi, tol)
-            thetas[i] = t_star
-            degenerate[i] = False
-            h = max(tol, 1e-3)
-            f0 = fn(t_star)
-            fp = fn(min(hi, t_star + h))
-            fm = fn(max(lo, t_star - h))
-            curvature[i] = (fp - 2.0 * f0 + fm) / (h * h)
-    reports = solve_model(model, params, k, tuple(thetas), spec, options)
-    best = next((r for r in reports if r.converged and r.pressure is not None),
-                reports[0])
-    return ThetaExtremum(thetas=tuple(thetas),
-                         pressure=best.pressure if best.pressure is not None
-                         else -math.inf,
-                         report=best,
-                         degenerate=tuple(degenerate),
-                         curvature=tuple(curvature))
+    theta = project(theta)
+    rep = solve(theta)
+    if not rep.converged:
+        return ThetaExtremum(tuple(theta.tolist()), -math.inf, rep,
+                             (False,) * k, (0.0,) * k)
+    grad = gradient(rep)
+    free = np.zeros(k, dtype=bool)
+    for _ in range(100):
+        # a merged level, or one without a gradient, is not free
+        now = (np.diff(rep.ansatz.qs) > gap) & (np.abs(grad) > 0.0)
+        if not now.any():
+            break
+        if (now != free).any():
+            # a new model, unbounded: its first step moves each by sep
+            free, hessian, reach = now, np.diag(np.abs(grad[now]) / sep), 1.0
+        step = np.zeros(k)
+        step[free] = -np.linalg.solve(hessian, grad[free])
+        move = project(theta + step) - theta
+        full = move = move * min(1.0, reach / np.abs(move).max(initial=reach))
+        while move.any():
+            # projected again: theta + move can round past the floor
+            trial = project(theta + move)
+            nxt = solve(trial, rep)
+            slope = grad[free] @ move[free]
+            if np.abs(move).max() <= tol or nxt.converged and (
+                    nxt.pressure <= rep.pressure + 1e-4 * slope):
+                break
+            # the quadratic's minimum, from both pressures and the slope
+            t = -slope / (2.0 * (nxt.pressure - rep.pressure - slope)
+                          ) if nxt.converged else 0.5
+            move = min(max(t, 0.1), 0.5) * move
+        if not move.any() or not nxt.converged or nxt.pressure > rep.pressure:
+            break
+        new_grad = gradient(nxt)
+        s, y = (trial - theta)[free], (new_grad - grad)[free]
+        bs = hessian @ s
+        if s @ y < 0.2 * (s @ bs):
+            # concave along s: the model's curvature there falls fivefold
+            y = bs + 0.8 * (s @ bs) / (s @ bs - s @ y) * (y - bs)
+        hessian += np.outer(y, y) / (s @ y) - np.outer(bs, bs) / (s @ bs)
+        # a step cut back bounds the next to twice its length
+        reach = 1.0 if move is full else 2.0 * np.abs(move).max()
+        theta, rep, grad = trial, nxt, new_grad
+        if np.abs(full).max() <= tol:
+            break
+    degenerate = np.diff(rep.ansatz.qs) <= gap
+    for a in np.flatnonzero(degenerate):
+        # the midpoint of [theta_{a-1} + sep, theta_{a+1} - sep]
+        ends = np.concatenate(([THETA_FLOOR - sep], theta, [hi + sep]))
+        theta[a] = 0.5 * (ends[a] + ends[a + 2])
+    if degenerate.any():
+        rep = solve(theta, rep)
+        grad = gradient(rep)
+    curvature = np.zeros(k)
+    for a in np.flatnonzero(~degenerate):
+        h = tol if theta[a] + tol <= hi else -tol
+        near = solve(theta + h * (np.arange(k) == a), rep)
+        curvature[a] = (gradient(near)[a] - grad[a]) / h
+    return ThetaExtremum(tuple(theta.tolist()), rep.pressure, rep,
+                         tuple(bool(d) for d in degenerate),
+                         tuple(curvature.tolist()))

@@ -11,20 +11,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rsbsolve.sk
+import rsbsolve.solver
 from rsbsolve import (
     BracketViolation,
     HopfieldParams,
     NonFiniteIntegrand,
     QuadratureSpec,
     RsbAnsatz,
+    ShapeMismatch,
     SkParams,
     SolverOptions,
     damped_fixed_point,
     default_starts,
     extremize_theta,
-    golden_section_min,
+    hop_p_closed_form,
+    hop_pressure_krsb,
     hop_sce_krsb,
     isotonic_nondecreasing,
+    sk_pressure_krsb,
     sk_pressure_rs,
     sk_sce_krsb,
     solve_grid,
@@ -106,16 +110,6 @@ def test_isotonic_projection_random(y):
     assert np.allclose(z, z2, atol=1e-12)
 
 
-def test_golden_section_quadratic():
-    got = golden_section_min(lambda t: (t - 0.3) ** 2, 0.01, 0.99)
-    assert got == pytest.approx(0.3, abs=1e-3)
-
-
-def test_golden_section_empty_bracket():
-    with pytest.raises(BracketViolation):
-        golden_section_min(lambda t: t, 0.9, 0.2)
-
-
 def test_exponent_search_flat_profile_parks_midway():
     # below the glass transition the solved plateaus merge, the exponent
     # drops out, and the search must flag the level instead of moving it
@@ -141,7 +135,7 @@ def test_exponent_search_minimizes_pairwise_pressure():
     # the bracket edge where the solved pressure approaches it
     spec = QuadratureSpec(nodes_per_level=40)
     params = SkParams(beta=1.4, j0=0.0, j=1.0)
-    ext = extremize_theta("sk", params, 1, spec=spec, sweeps=1, tol=1e-2)
+    ext = extremize_theta("sk", params, 1, spec=spec, tol=1e-2)
     flat = max(r.pressure for r in solve_model("sk", params, 0, spec=spec)
                if r.converged)
     assert ext.degenerate == (False,)
@@ -156,12 +150,134 @@ def test_exponent_search_minimizes_pattern_pressure():
     # 1.057282, so a maximizer would walk back to the flat collapse
     spec = QuadratureSpec(nodes_per_level=40)
     params = HopfieldParams(beta=1.6, alpha=0.08)
-    ext = extremize_theta("hopfield", params, 1, spec=spec, sweeps=1,
-                          tol=1e-2)
+    ext = extremize_theta("hopfield", params, 1, spec=spec, tol=1e-2)
     flat = max(r.pressure for r in solve_model("hopfield", params, 0,
                                                spec=spec) if r.converged)
     assert 0.03 < ext.thetas[0] < 0.2
     assert ext.pressure <= flat - 1e-4
+
+
+PAIRWISE = SkParams(beta=1.4, j0=0.0, j=1.0)
+
+
+def _envelope_gradient(model, params, rep, spec):
+    """dP/dtheta at the branch's own (m, q), by the public pressure."""
+    pressure = {"sk": sk_pressure_krsb, "hopfield": hop_pressure_krsb}[model]
+    return rsbsolve.solver._point_gradient(
+        lambda th: pressure(params, replace(rep.ansatz, thetas=tuple(th),
+                                            ps=None), spec).pressure,
+        np.array(rep.ansatz.thetas), 1e-5)
+
+
+def _counted(monkeypatch):
+    """The exponents of every ``solve_model`` call the search makes."""
+    calls = []
+    solve = rsbsolve.solver.solve_model
+
+    def spy(*args, **kwargs):
+        calls.append(args[3])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(rsbsolve.solver, "solve_model", spy)
+    return calls
+
+
+@pytest.mark.parametrize("theta", [0.15, 0.35])
+def test_envelope_gradient_is_the_solved_derivative(theta):
+    # the pressure is stationary in (m, q) at a fixed point, so its
+    # partial derivative there equals the re-solved total derivative
+    spec = QuadratureSpec(nodes_per_level=40)
+
+    def solved(t):
+        return solve_model("sk", PAIRWISE, 1, (t,), spec)[0]
+
+    h = 1e-4
+    total = (solved(theta + h).pressure - solved(theta - h).pressure) / (2 * h)
+    partial = _envelope_gradient("sk", PAIRWISE, solved(theta), spec)
+    assert abs(partial[0] - total) <= 1e-9
+    assert abs(total) > 1e-4
+
+
+def test_exponent_search_one_level_optimum(monkeypatch):
+    calls = _counted(monkeypatch)
+    ext = extremize_theta("sk", PAIRWISE, 1,
+                          spec=QuadratureSpec(nodes_per_level=40))
+    assert ext.thetas[0] == pytest.approx(0.23462, abs=2e-4)
+    assert ext.pressure == pytest.approx(1.1740137155, abs=1e-9)
+    assert len(calls) <= 12
+
+
+@pytest.fixture(scope="module")
+def two_levels():
+    """The depth-2 search on 24 nodes and the solves it made."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _counted(monkeypatch)
+        ext = extremize_theta("sk", PAIRWISE, 2,
+                              spec=QuadratureSpec(nodes_per_level=24))
+    return ext, calls
+
+
+def test_exponent_search_two_levels_optimum(two_levels):
+    # coordinate sweeps stopped 4.9e-8 above this minimum, at
+    # theta = (0.1651, 0.2953), where dP/dtheta_1 = 4.9e-6
+    ext, _ = two_levels
+    assert ext.thetas == pytest.approx((0.1441, 0.2864), abs=1e-3)
+    assert ext.pressure == pytest.approx(1.1740119419, abs=1e-9)
+    grad = _envelope_gradient("sk", PAIRWISE, ext.report,
+                              QuadratureSpec(nodes_per_level=24))
+    assert np.abs(grad).max() <= 1e-7
+    assert ext.degenerate == (False, False)
+    assert all(c > 0.0 for c in ext.curvature)
+
+
+def test_exponent_search_two_levels_cost(two_levels):
+    _, calls = two_levels
+    assert len(calls) <= 20
+
+
+def test_optimized_pressure_falls_with_depth(two_levels):
+    # each level is a tighter Guerra bound on the same 24-node rule
+    spec = QuadratureSpec(nodes_per_level=24)
+    flat = max(r.pressure for r in solve_model("sk", PAIRWISE, 0, spec=spec)
+               if r.converged)
+    one = extremize_theta("sk", PAIRWISE, 1, spec=spec).pressure
+    assert flat > one > two_levels[0].pressure
+
+
+def test_envelope_gradient_brackets_pattern_optimum():
+    spec = QuadratureSpec(nodes_per_level=40)
+    params = HopfieldParams(beta=1.6, alpha=0.08)
+    grads = [_envelope_gradient(
+        "hopfield", params,
+        solve_model("hopfield", params, 1, (t,), spec)[0], spec)[0]
+        for t in (0.05, 0.07)]
+    assert grads == pytest.approx([-1.1e-3, 3.1e-4], rel=0.05)
+    ext = extremize_theta("hopfield", params, 1, spec=spec)
+    assert 0.05 < ext.thetas[0] < 0.07
+
+
+def test_exponent_search_rejects_empty_brackets():
+    with pytest.raises(BracketViolation):
+        extremize_theta("sk", PAIRWISE, 0)
+    with pytest.raises(BracketViolation):
+        extremize_theta("sk", PAIRWISE, 1, thetas0=(0.995,))
+    with pytest.raises(BracketViolation):
+        extremize_theta("sk", PAIRWISE, 2, thetas0=(0.5,))
+    # 99 exponents 0.01 apart do not fit into [0.01, 0.99]
+    with pytest.raises(BracketViolation):
+        extremize_theta("sk", PAIRWISE, 99)
+
+
+def test_damped_fixed_point_names_a_width_change():
+    # the pattern map slaves the conjugates (its image has ps=None), so a
+    # start that carries them would change the flat width
+    params = HopfieldParams(beta=1.2, alpha=0.05)
+    bare = RsbAnsatz(k=0, m=0.5, qs=(0.5,))
+    start = replace(bare, ps=hop_p_closed_form(params, bare))
+    with pytest.raises(ShapeMismatch, match="takes 3 flat entries to 2"):
+        damped_fixed_point(lambda a: hop_sce_krsb(params, a), start)
+    assert damped_fixed_point(lambda a: hop_sce_krsb(params, a),
+                              bare).converged
 
 
 def test_stationarity_analytic_quadratic():
