@@ -1,5 +1,6 @@
 """Gaussian expectation layer against dense-grid and closed-form oracles."""
 
+import hashlib
 import math
 import warnings
 
@@ -875,3 +876,73 @@ def test_blocks_of_no_lanes(k):
     assert x.shape == (0, k + 2) and failed == {}
     v, failed = quadrature.plan_log_cosh(plan, np.zeros(0), np.zeros((0, k + 1)))
     assert v.shape == (0,) and failed == {}
+
+
+# (k, nodes) of the kernel goldens: the tensor grid at depth <= 1 and
+# on 24 nodes, and the field grids of depths 2 and 3
+KERNEL_GOLDEN_PLANS = [(0, 80), (1, 80), (2, 24), (2, 40), (2, 80), (3, 20),
+                       (3, 32)]
+
+
+def _golden_block(k, nodes):
+    """A seeded block on the plan of depth k: fields as the maps build
+    them (grid lanes from depth 2 on 40 nodes), wide tensor lanes, a lane
+    with an exact zero interior coefficient, one with a 1e308
+    coefficient and one with a NaN offset."""
+    rng = np.random.default_rng(1000 + 100 * k + nodes)
+    plan = quadrature.level_plan(tuple(np.sort(rng.uniform(0.1, 0.9, k))),
+                                 QuadratureSpec(nodes_per_level=nodes))
+    offset, coeffs = _model_fields(rng, 2, k)
+    wide = _wide_lanes(rng, 1, k)
+    zero = rng.uniform(0.2, 1.2, k + 1)
+    zero[k // 2 + 1:k + 1][:1] = 0.0
+    huge = rng.uniform(0.2, 1.2, k + 1)
+    huge[-1] = 1e308
+    offset = np.r_[offset, wide[0], 0.3, -0.2, np.nan]
+    coeffs = np.r_[coeffs, wide[1], [zero, huge, zero]]
+    return plan, offset, coeffs
+
+
+def _kernel_digest(kernel, plan, offset, coeffs):
+    out, failed = kernel(plan, offset, coeffs)
+    return hashlib.sha256(out.tobytes()
+                          + repr(sorted(failed.items())).encode()).hexdigest()
+
+
+# SHA-256 of the output bytes and the failures of plan_log_cosh and
+# plan_moments on each plan's golden block, recorded at 5833047 before
+# the two kernels became one recursion
+_KERNEL_GOLDENS = {
+    (0, 80): [
+        "1360e951b0858bdcc65a62962bf569c5ec4282e1f7a1b2ab428ab9583042448e",
+        "e9ea08086689f8fb9ba95cce9176b36ffd1ef5c08f044b16097955f8b548a61b"],
+    (1, 80): [
+        "4602854e278ba9f6691ef07c92a7220a268ccfc74656df550a0dc828afbb6697",
+        "427bede97f039fc78bc99407b9dd27de2f9f242f5cb8e6cf08ea15459e369730"],
+    (2, 24): [
+        "00cc0cb2054988edc7623b43fcde7e6874eb41f18d6397d720630e944d04bae5",
+        "ce8e10078547960f4ec224d2a1dded6eee2fd4f109decbd04dab94f05e337d92"],
+    (2, 40): [
+        "855429cb5d930172ae4a84f9609f3621f89350c3ddfcbd6b1fc622426bdf08f4",
+        "3a1d5b8a27a4bc564c2f35764f598eec7d0a3d3f8fd8cabfd8d84ad7054c2529"],
+    (2, 80): [
+        "5f85fe23395713e6b32538c43ef00223703a00b061b0e1e9b5eb6568a3b1bf78",
+        "b63838cc39aec8eae59ac9b4d1c6a5bc93ecc878f6c67f21c6c020a33247f0e3"],
+    (3, 20): [
+        "33907e64a0d9e407c5b9cedc68c333286adcbd25efc44dfbc007dd0ceb9f670b",
+        "07219954eb5fb8791e82bacd1c7f238c9ac5efcb3a6dbfb87fabe812da412a68"],
+    (3, 32): [
+        "7728d6af6e0da801661b9e6c95cce750abb949adb974e083bda325a531c17b44",
+        "88773b87d833975a44ec0d183b4dfb5b55f1bffece8be78bc9f38b903bcd8ff7"],
+}
+
+
+@pytest.mark.parametrize("k,nodes", KERNEL_GOLDEN_PLANS)
+def test_kernels_match_recorded_bits(k, nodes):
+    plan, offset, coeffs = _golden_block(k, nodes)
+    if k >= 2 and nodes >= 40:
+        depth = quadrature._exact_depth(plan, offset[:-3], coeffs[:-3])
+        assert (depth < k).any() and (depth == k).any()
+    got = [_kernel_digest(quadrature.plan_log_cosh, plan, offset, coeffs),
+           _kernel_digest(quadrature.plan_moments, plan, offset, coeffs)]
+    assert got == _KERNEL_GOLDENS[k, nodes]
