@@ -246,15 +246,8 @@ def sweep(model, beta, j0, j, alpha, k, thetas, nodes, damping, tol, max_iter,
     for name, values in parsed:
         points = [dict(pt, **{name: v}) for pt in points for v in values]
 
-    base = {"beta": params.beta}
-    if model == "sk":
-        base.update(j0=params.j0, j=params.j)
-    else:
-        base.update(alpha=params.alpha)
-
-    cls = SkParams if model == "sk" else HopfieldParams
     with _usage_errors():
-        grid = [cls(**dict(base, **pt)) for pt in points]
+        grid = [replace(params, **pt) for pt in points]
         # every point and start in lockstep, one block map step per iteration
         reports = solve_grid(model, grid, k=k, thetas=thetas, spec=spec,
                              options=options)
@@ -286,20 +279,18 @@ def _suite_collapse(n, samples, seed, spec):
     # a degenerate hierarchy (all plateaus equal) must reproduce the flat
     # evaluation exactly; it is evaluated as one level at any --nodes
     checks = []
-    skp = SkParams(beta=1.1, j0=0.3, j=0.9)
-    hop = HopfieldParams(beta=1.1, alpha=0.08)
-    for k in (1, 2, 3):
-        thetas = tuple((i + 1.0) / (k + 1.0) for i in range(k))
-        a = RsbAnsatz(k=k, m=0.3, qs=(0.4,) * (k + 1), thetas=thetas)
-        flat = sk_pressure_rs(skp, 0.3, 0.4, spec=spec).pressure
-        deep = sk_pressure_krsb(skp, a, spec=spec).pressure
-        checks.append(("pairwise_collapse_k%d" % k, abs(deep - flat), 1e-10))
-    for k in (1, 2, 3):
-        thetas = tuple((i + 1.0) / (k + 1.0) for i in range(k))
-        a = RsbAnsatz(k=k, m=0.3, qs=(0.4,) * (k + 1), thetas=thetas)
-        flat = hop_pressure_rs(hop, 0.3, 0.4, spec=spec).pressure
-        deep = hop_pressure_krsb(hop, a, spec=spec).pressure
-        checks.append(("pattern_collapse_k%d" % k, abs(deep - flat), 1e-10))
+    for name, params, rs, krsb in (
+            ("pairwise", SkParams(beta=1.1, j0=0.3, j=0.9), sk_pressure_rs,
+             sk_pressure_krsb),
+            ("pattern", HopfieldParams(beta=1.1, alpha=0.08), hop_pressure_rs,
+             hop_pressure_krsb)):
+        flat = rs(params, 0.3, 0.4, spec=spec).pressure
+        for k in (1, 2, 3):
+            thetas = tuple((i + 1.0) / (k + 1.0) for i in range(k))
+            a = RsbAnsatz(k=k, m=0.3, qs=(0.4,) * (k + 1), thetas=thetas)
+            deep = krsb(params, a, spec=spec).pressure
+            checks.append(("%s_collapse_k%d" % (name, k), abs(deep - flat),
+                           1e-10))
     return checks
 
 
@@ -447,8 +438,7 @@ _SUITES = {
                    "at deep k so the grid fits the budget [default: "
                    "RSB_NODES or 80]. "
                    "The stationarity suite solves on at least 80, the "
-                   "resolution its bound is calibrated at; the collapse "
-                   "suite uses at most 24.")
+                   "resolution its bound is calibrated at.")
 def verify(suite, n, samples, seed, nodes):
     """Run a named self-check suite and print a pass/fail table."""
     if suite not in _SUITES:

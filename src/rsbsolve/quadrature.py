@@ -1,9 +1,11 @@
 """Nested Gaussian averages on Gauss-Hermite rules.
 
-Two kernels share one level recursion: ``nested_log_cosh_expect`` gives
-the field term of the pressure, and ``nested_moments`` gives every
-output of the self-consistency map (the magnetization and all overlap
-plateaus) from one pass.
+One level recursion gives the pressure's field term and the
+self-consistency map.  Its row 0, the log kernel, integrates to the
+field term (``nested_log_cosh_expect``); the rows after it, the running
+tanh average and the plateaus, exist only on the moment pass and give
+every output of the map (``nested_moments``: the magnetization and all
+overlap plateaus) from one pass.
 
 All expectations are over independent standard normals, one per
 hierarchy level, on Gauss-Hermite nodes (physicists' nodes rescaled to
@@ -305,8 +307,8 @@ def _reweight(logn, r, w):
     return mx
 
 
-def _by_outer_nodes(leaf, step, nrows, nodes, inner, *lanes, per_point=1):
-    """``_tensor_rows(leaf, step, nodes, inner, *lanes)`` on the whole
+def _by_outer_nodes(nrows, nodes, inner, *lanes, per_point=1):
+    """``_tensor_rows(nrows, nodes, inner, *lanes)`` on the whole
     tensor grid of ``nodes`` for a block of lanes, evaluated in chunks of
     lanes and outermost nodes: shape ``(nrows, lanes, len(nodes[0]))``.
 
@@ -321,7 +323,7 @@ def _by_outer_nodes(leaf, step, nrows, nodes, inner, *lanes, per_point=1):
     count = len(lanes[0])
     points = len(nodes[0]) ** len(nodes)   # every level has one rule
     if count * points * per_point <= _CHUNK_POINTS:
-        return _tensor_rows(leaf, step, nodes, inner, *lanes)
+        return _tensor_rows(nrows, nodes, inner, *lanes)
     n0 = len(nodes[0])
     budget = max(1, _CHUNK_POINTS // per_point)
     fit = budget // (points // n0)          # lanes of one outer node
@@ -331,9 +333,8 @@ def _by_outer_nodes(leaf, step, nrows, nodes, inner, *lanes, per_point=1):
     for a in range(0, count, width):
         for b in range(0, n0, size):
             ls, ns = slice(a, a + width), slice(b, b + size)
-            out[:, ls, ns] = _tensor_rows(leaf, step,
-                                          (nodes[0][ns],) + nodes[1:], inner,
-                                          *(x[ls] for x in lanes))
+            out[:, ls, ns] = _tensor_rows(nrows, (nodes[0][ns],) + nodes[1:],
+                                          inner, *(x[ls] for x in lanes))
     return out
 
 
@@ -345,7 +346,7 @@ def plan_log_cosh(plan, offset, coeffs):
     apart as in ``plan_moments``, so a lane's value is bit for bit what
     a block of one gives, even with no lanes at all.
     """
-    return _finite_lanes(_log_cosh, plan, offset, coeffs, (),
+    return _finite_lanes(plan, offset, coeffs, False,
                          "field or nested average is not finite")
 
 
@@ -364,8 +365,7 @@ def plan_moments(plan, offset, coeffs):
     vectors; a matrix-vector product would not), so a lane's row is bit
     for bit what a block of one gives.
     """
-    out, failed = _finite_lanes(_moments, plan, offset, coeffs,
-                                (coeffs.shape[1] + 1,),
+    out, failed = _finite_lanes(plan, offset, coeffs, True,
                                 "field or nested moment is not finite")
     # the finite outputs are clipped as min(hi, max(lo, v)), plateaus
     # outermost first and made non-decreasing
@@ -389,43 +389,43 @@ def _clip_bounds(lanes, width):
     return lo, hi
 
 
-def _finite_lanes(kernel, plan, offset, coeffs, shape, what):
-    """``kernel(plan, offset, coeffs)`` on the lanes whose field is
-    finite on the whole grid, one row of ``shape`` each (NaN for the
-    others, which are not evaluated), and a dict from row to a
-    ``NonFiniteIntegrand(what)`` for each lane whose field or row is not
-    finite.  A lane's largest |field| is |offset| + h_max sum |c_a|; one
+def _finite_lanes(plan, offset, coeffs, moments, what):
+    """``_nested(plan, offset, coeffs, moments)`` on the lanes whose field
+    is finite on the whole grid (NaN for the others, which are not
+    evaluated), and a dict from row to a ``NonFiniteIntegrand(what)``
+    for each lane whose field or row is not finite.  A lane's largest |field| is |offset| + h_max sum |c_a|; one
     reduction bounds all (no numpy warnings), and below 2^1000 one sum
     shows finite rows.  The per-lane tests run where either fails."""
     lanes = len(offset)
+    shape = (lanes, coeffs.shape[1] + 1) if moments else (lanes,)
     if not lanes:
-        return np.empty((0,) + shape), {}
+        return np.empty(shape), {}
     hmax = float(plan.nodes[0][-1])
     top = np.maximum.reduce(np.abs(np.concatenate((offset[:, None], coeffs),
                                                   axis=1)), axis=None)
     if (1.0 + hmax * coeffs.shape[1]) * float(top) < 2.0 ** 1000:
-        out = _without_zero_levels(kernel, plan, offset, coeffs, shape)
+        out = _without_zero_levels(plan, offset, coeffs, moments)
         if math.isfinite(np.add.reduce(out, axis=None)):
             return out, {}
     else:
         with np.errstate(over="ignore"):
             finite = np.isfinite(np.abs(offset)
                                  + hmax * np.abs(coeffs).sum(axis=1))
-        out = np.full((lanes,) + shape, np.nan)
+        out = np.full(shape, np.nan)
         if finite.any():
-            out[finite] = _without_zero_levels(kernel, plan, offset[finite],
-                                               coeffs[finite], shape)
+            out[finite] = _without_zero_levels(plan, offset[finite],
+                                               coeffs[finite], moments)
     bad = ~np.isfinite(out.reshape(lanes, -1)).all(axis=1)
     out[bad] = np.nan
     return out, {i: NonFiniteIntegrand(what)
                  for i in np.flatnonzero(bad).tolist()}
 
 
-def _without_zero_levels(kernel, plan, offset, coeffs, shape):
-    """``kernel(plan, offset, coeffs)`` on a block of lanes with finite
-    fields, where each lane with exact zeros among its interior field
-    coefficients (columns 1..k) runs on the plan of the hierarchy
-    without those levels.
+def _without_zero_levels(plan, offset, coeffs, moments):
+    """``_nested(plan, offset, coeffs, moments)`` on a block of lanes
+    with finite fields, where each lane with exact zeros among its
+    interior field coefficients (columns 1..k) runs on the plan of the
+    hierarchy without those levels.
 
     A level a with c_a = 0 is an exact identity: its kernel is constant
     over its nodes, so it passes the inner log kernel through, scaled by
@@ -435,80 +435,70 @@ def _without_zero_levels(kernel, plan, offset, coeffs, shape):
     without an interior zero, and every k=0 block, run on ``plan``.
     """
     if not plan.thetas or coeffs[:, 1:].all():
-        return kernel(plan, offset, coeffs)
-    out = np.empty((len(offset),) + shape)
+        return _nested(plan, offset, coeffs, moments)
+    out = np.empty((len(offset), coeffs.shape[1] + 1) if moments
+                   else len(offset))
     keys, group = np.unique(coeffs[:, 1:] == 0.0, axis=0, return_inverse=True)
     for g, key in enumerate(keys):
         rows = group.reshape(-1) == g
         keep = ~key
         sub = level_plan(np.compress(keep, plan.thetas), plan.spec)
-        res = kernel(sub, offset[rows], coeffs[rows][:, np.r_[True, keep]])
-        if shape:          # plateau columns innermost first
+        res = _nested(sub, offset[rows], coeffs[rows][:, np.r_[True, keep]],
+                      moments)
+        if moments:        # plateau columns innermost first
             res = res[:, np.r_[0, 1 + np.cumsum(np.r_[0, keep[::-1]])]]
         out[rows] = res
     return out
 
 
-def _log_cosh(plan, offset, coeffs):
-    """The nested averages of a block of lanes with finite fields."""
-    logn = _levels(_log_cosh_leaf, _log_cosh_step, 1, plan, offset, coeffs)
-    th1 = plan.thetas[0] if plan.thetas else 1.0
-    return np.vecdot(logn[0], plan.weights[0]) / th1
+def _nested(plan, offset, coeffs, moments):
+    """The nested averages of a block of lanes with finite fields: the
+    field term (1/theta_1) E log Z_1 of each lane, which is row 0 of the
+    recursion, or on the moment pass the unclipped
+    ``[m, q_{k+1}, ..., q_1]`` rows, which are rows 1.. of it."""
+    rows = _levels(len(plan.inner) + 3 if moments else 1, plan, offset, coeffs)
+    if moments:
+        return np.vecdot(rows[1:], plan.weights[0]).T
+    return np.vecdot(rows[0], plan.weights[0]) / (plan.thetas + (1.0,))[0]
 
 
-def _moments(plan, offset, coeffs):
-    """The unclipped ``[m, q_{k+1}, ..., q_1]`` rows of a block of lanes
-    with finite fields."""
-    rows = _levels(_moment_leaf, _moment_step, len(plan.inner) + 3, plan,
-                   offset, coeffs)
-    return np.vecdot(rows[1:], plan.weights[0]).T
-
-
-def _log_cosh_leaf(g, log):
-    """The log kernel of the fields ``g`` (overwritten) as one row; it is
-    this kernel's only row, so ``log`` is moot."""
-    rows = np.empty((1,) + g.shape)
-    _log2cosh(g, rows[0])
-    return rows
-
-
-def _log_cosh_step(rows, w, r):
-    """Integrate the last axis out of the log kernel."""
-    mx = _reweight(rows[0], r, w)
-    return (mx + np.log(rows[0].sum(axis=-1)))[None]
-
-
-def _moment_leaf(g, log):
-    """Row 0: the log kernel of the fields ``g`` (overwritten; unset
-    unless ``log``), row 1: their tanh, row 2: its square."""
-    rows = np.empty((3,) + g.shape)
-    np.tanh(g, out=rows[1])
-    np.multiply(rows[1], rows[1], out=rows[2])
-    if log:
+def _leaf(g, nrows, log):
+    """The rows of the innermost level from its fields ``g``
+    (overwritten).  Row 0 is their log kernel, set where it is the only
+    row or ``log`` (an inner level reweights by it); a moment pass
+    (``nrows`` > 1) adds row 1, their tanh, and row 2, its square."""
+    rows = np.empty((min(nrows, 3),) + g.shape)
+    if nrows > 1:
+        np.tanh(g, out=rows[1])
+        np.multiply(rows[1], rows[1], out=rows[2])
+    if log or nrows == 1:
         _log2cosh(g, rows[0])
     return rows
 
 
-def _moment_step(rows, w, r):
-    """Integrate the last axis out of the log kernel (row 0), the
-    running tanh average (row 1) and the plateaus innermost first, and
+def _step(rows, w, r):
+    """Integrate the last axis out of the log kernel (row 0) and of any
+    running tanh average (row 1) and plateaus innermost first, and then
     append the new plateau, the square of the new tanh average."""
     mx = _reweight(rows[0], r, w)
-    rows[1:] *= rows[0]
+    moments = len(rows) > 1
+    if moments:
+        rows[1:] *= rows[0]
     sums = rows.sum(axis=-1)
-    nxt = np.empty((len(rows) + 1,) + sums.shape[1:])
+    nxt = np.empty((len(rows) + moments,) + sums.shape[1:])
     np.log(sums[0], out=nxt[0])
     nxt[0] += mx
-    np.divide(sums[1:], sums[0], out=nxt[1:-1])
-    np.multiply(nxt[1], nxt[1], out=nxt[-1])
+    if moments:
+        np.divide(sums[1:], sums[0], out=nxt[1:-1])
+        np.multiply(nxt[1], nxt[1], out=nxt[-1])
     return nxt
 
 
-def _levels(leaf, step, nrows, plan, offset, coeffs):
+def _levels(nrows, plan, offset, coeffs):
     """The ``nrows`` rows of a block of lanes with finite fields on the
     outermost level's nodes, every interior level integrated out: shape
-    ``(nrows, lanes, n)``.  ``leaf`` gives the rows of the innermost
-    level from its fields and ``step`` integrates a level out of them.
+    ``(nrows, lanes, n)``.  ``_leaf`` gives the rows of the innermost
+    level from its fields and ``_step`` integrates a level out of them.
 
     A lane whose levels are all exact (``_exact_depth``) runs on the
     tensor grid; the others run their deeper levels on grids
@@ -518,14 +508,13 @@ def _levels(leaf, step, nrows, plan, offset, coeffs):
     # below depth 2, or where the n^2 exact points of level 2 alone cost
     # the tensor grid (see _exact_depth), every lane is exact
     if k < 2 or len(plan.nodes[0]) ** (k - 1) <= 2 * _STENCIL:
-        return _by_outer_nodes(leaf, step, nrows, plan.nodes, plan.inner,
-                               offset, coeffs)
+        return _by_outer_nodes(nrows, plan.nodes, plan.inner, offset, coeffs)
 
     def run(p, offset, coeffs):
         if p == k:
-            return _by_outer_nodes(leaf, step, nrows, plan.nodes, plan.inner,
-                                   offset, coeffs)
-        return _grid_rows(leaf, step, nrows, plan, offset, coeffs, p)
+            return _by_outer_nodes(nrows, plan.nodes, plan.inner, offset,
+                                   coeffs)
+        return _grid_rows(nrows, plan, offset, coeffs, p)
 
     depth = _exact_depth(plan, offset, coeffs)
     depths = np.unique(depth).tolist()
@@ -538,12 +527,12 @@ def _levels(leaf, step, nrows, plan, offset, coeffs):
     return out
 
 
-def _tensor_rows(leaf, step, nodes, inner, offset, coeffs, *grid):
+def _tensor_rows(nrows, nodes, inner, offset, coeffs, *grid):
     """The rows of a block of lanes on the outermost level's
     ``nodes[0]``, every level of ``inner`` integrated out of the tensor
     grid of ``nodes``.
 
-    The innermost level's rows are ``leaf`` of its fields or, given
+    The innermost level's rows are ``_leaf`` of its fields or, given
     ``grid`` (each lane's first grid point and its rows on the grid of
     the level below ``nodes``, lane first), interpolated from there.
     """
@@ -553,9 +542,9 @@ def _tensor_rows(leaf, step, nodes, inner, offset, coeffs, *grid):
         at = (g - start.reshape((-1,) + (1,) * (g.ndim - 1))) / _DY
         rows = _interpolate(np.moveaxis(below, 0, 1), *_stencil(at))
     else:
-        rows = leaf(g, bool(inner))
+        rows = _leaf(g, nrows, bool(inner))
     for w, r in inner:             # integrate out a level
-        rows = step(rows, w, r)
+        rows = _step(rows, w, r)
     return rows
 
 
@@ -600,7 +589,7 @@ def _exact_depth(plan, offset, coeffs):
     return 1 + np.argmin(cost, axis=1)
 
 
-def _grid_rows(leaf, step, nrows, plan, offset, coeffs, p):
+def _grid_rows(nrows, plan, offset, coeffs, p):
     """The rows of a block of lanes on the outermost level's nodes, as
     ``_levels`` gives them, with levels p+1..k on grids.
 
@@ -608,7 +597,7 @@ def _grid_rows(leaf, step, nrows, plan, offset, coeffs, p):
     grid has spacing ``_DY`` and spans the exact fields, offset +- reach
     (``_reach``), plus ``_MARGIN`` points per level beyond each end, so
     every stencil of the level above stays inside it.  Level k's rows
-    are ``leaf`` at grid + c_k h_j; each level above interpolates the
+    are ``_leaf`` at grid + c_k h_j; each level above interpolates the
     rows of the level below at grid + c_a h_j, a shift that is constant
     over the grid, so the stencil weights are computed once per node.
     Levels p..1 run on the tensor grid of their exact fields, with the
@@ -631,31 +620,29 @@ def _grid_rows(leaf, step, nrows, plan, offset, coeffs, p):
 
     def innermost(a, b):
         grid = origin[:, -1, None] + _DY * np.arange(a, b)
-        return leaf(grid[:, :, None] + shift[:, None, :], True)
+        return _leaf(grid[:, :, None] + shift[:, None, :], nrows, True)
 
-    rows = _on_grid(innermost, step, plan.inner[0], size[-1],
-                    count * len(h))
+    rows = _on_grid(innermost, plan.inner[0], size[-1], count * len(h))
     for a in range(k - 1, p, -1):
         col = a - p - 1
         first, lam = _stencil((origin[:, col, None] - origin[:, col + 1, None]
                                + coeffs[:, a, None] * h) / _DY)
-        rows = _on_grid(partial(_shifted, rows, first, lam), step,
-                        plan.inner[k - a], size[col],
-                        count * len(h) * _STENCIL)
-    return _by_outer_nodes(leaf, step, nrows, plan.nodes[:p + 1],
+        rows = _on_grid(partial(_shifted, rows, first, lam), plan.inner[k - a],
+                        size[col], count * len(h) * _STENCIL)
+    return _by_outer_nodes(nrows, plan.nodes[:p + 1],
                            plan.inner[k - p:], offset, coeffs[:, :p + 1],
                            origin[:, 0], np.moveaxis(rows, 1, 0),
                            per_point=_STENCIL)
 
 
-def _on_grid(rows_at, step, level, size, per_point):
-    """``step`` of ``rows_at(i, j)``, a level's rows at grid points i..j-1
+def _on_grid(rows_at, level, size, per_point):
+    """``_step`` of ``rows_at(i, j)``, a level's rows at grid points i..j-1
     of every lane, over grid points 0..size-1 in chunks of at most
     ``_CHUNK_POINTS // per_point`` points."""
     width = max(1, _CHUNK_POINTS // per_point)
     if width >= size:
-        return step(rows_at(0, size), *level)
-    return np.concatenate([step(rows_at(i, min(i + width, size)), *level)
+        return _step(rows_at(0, size), *level)
+    return np.concatenate([_step(rows_at(i, min(i + width, size)), *level)
                            for i in range(0, size, width)], axis=-1)
 
 

@@ -450,20 +450,21 @@ def _finish(model, params, plan, consts, starts, reps):
     """Pressure, stationarity and closed-form conjugates of a block of
     iterated lanes, as ``solve_grid`` reports them; ``params``,
     ``consts`` and ``starts`` hold each lane's point, constants and
-    (start index, start).  The pressures and every stencil of
-    ``_gradient`` are block pressure calls, each row bit for bit the
-    public pressure, so every number is that of ``stationarity_check``
-    on the lane.  ``stationary`` flags a gradient within 1e-5.
+    (start index, start).  Only converged lanes get a pressure and a
+    stationarity.  The pressures and every stencil of ``_gradient`` are
+    block pressure calls, each row bit for bit the public pressure, so
+    every number is that of ``stationarity_check`` on the lane.
+    ``stationary`` flags a gradient within 1e-5.
     """
     x = np.array([rep.ansatz for rep in reps])
-    base = [i for i, rep in enumerate(reps) if rep.error is None]
+    base = [i for i, rep in enumerate(reps) if rep.converged]
     pressure = np.full(len(x), np.nan)
     size = len(x)
     pressure[base], failed = _pressures(model, plan, consts[base], x[base],
                                         size)
     errors = {base[r]: "%s: %s" % (type(exc).__name__, exc)
               for r, exc in failed.items()}
-    conv = [i for i in base if reps[i].converged and i not in errors]
+    conv = [i for i in base if i not in errors]
     grads = np.full(len(x), np.nan)
     if conv:
         def values(lane, rows):
@@ -480,7 +481,7 @@ def _finish(model, params, plan, consts, starts, reps):
         ansatz = replace(start, m=x[i, 0], qs=x[i, 1:],
                          ps=conj.get(i, start.ps))
         error = errors.get(i, rep.error)
-        p = None if error is not None else pressure[i]
+        p = pressure[i] if rep.converged and error is None else None
         if p is not None and model == "hopfield" and params[i].alpha == 0.0:
             p = float(p)            # the one-body value is a plain float
         stat = None if math.isnan(grads[i]) else float(grads[i])

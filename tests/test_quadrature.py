@@ -507,9 +507,7 @@ def _tensor_only(monkeypatch):
 def _full_grid(monkeypatch):
     """Every lane on its plan's whole tensor grid, zero levels included."""
     _tensor_only(monkeypatch)
-    monkeypatch.setattr(quadrature, "_without_zero_levels",
-                        lambda kernel, plan, offset, coeffs, shape:
-                        kernel(plan, offset, coeffs))
+    monkeypatch.setattr(quadrature, "_without_zero_levels", quadrature._nested)
 
 
 PLAN_KERNELS = pytest.mark.parametrize("kernel", ["plan_moments",

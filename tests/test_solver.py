@@ -408,6 +408,22 @@ def test_non_stationary_branch_is_flagged():
     assert [r.stationary for r in failed] == [None] * len(failed)
 
 
+def test_unconverged_lanes_carry_no_pressure():
+    # lanes stopped by the iteration cap are not branches: no pressure,
+    # no stationarity, and every converged branch sorts before them
+    params = SkParams(beta=1.4, j0=0.0, j=1.0)
+    capped = solve_model("sk", params, options=SolverOptions(max_iter=5))
+    assert [r.converged for r in capped] == [False, False]
+    assert all(r.pressure is None and r.stationarity is None
+               and r.stationary is None and r.error is None for r in capped)
+    branch = solve_model("sk", params)[0]
+    mixed = solve_model("sk", params, starts=[capped[0].ansatz, branch.ansatz],
+                        options=SolverOptions(max_iter=5))
+    assert [(r.start, r.converged) for r in mixed] == [(1, True), (0, False)]
+    assert mixed[0].pressure == pytest.approx(branch.pressure, abs=1e-12)
+    assert mixed[1].pressure is None
+
+
 def test_one_branch_despite_far_apart_conjugates():
     # both starts end on the glass branch 2.6e-11 apart in q, but its
     # conjugate p ~ 99.8 puts them 1.7e-7 apart in p: only the iterated
