@@ -93,6 +93,22 @@ def _build_params(model, beta, j0, j, alpha):
         return cls(**kwargs)
 
 
+def _setup(model, beta, j0, j, alpha, k, thetas, nodes, damping, tol,
+           max_iter, axes=()):
+    """The checked point, spec and solver options of solve and sweep."""
+    params = _build_params(model, beta, j0, j, alpha)
+    if len(thetas) != k:
+        raise click.UsageError(
+            "depth %d needs exactly %d --theta values, got %d"
+            % (k, k, len(thetas)))
+    if len(axes) > 2:
+        raise click.UsageError("at most two sweep axes are supported")
+    spec = _build_spec(nodes)
+    with _usage_errors():
+        return params, spec, SolverOptions(damping=damping, tol=tol,
+                                           max_iter=max_iter)
+
+
 def _model_options(f):
     opts = [
         click.option("--model", type=click.Choice(["sk", "hopfield"]),
@@ -150,14 +166,9 @@ def main():
 @_model_options
 def solve(model, beta, j0, j, alpha, k, thetas, nodes, damping, tol, max_iter):
     """Solve one parameter point and print converged branches as JSON."""
-    params = _build_params(model, beta, j0, j, alpha)
-    if len(thetas) != k:
-        raise click.UsageError(
-            "depth %d needs exactly %d --theta values, got %d"
-            % (k, k, len(thetas)))
-    spec = _build_spec(nodes)
+    params, spec, options = _setup(model, beta, j0, j, alpha, k, thetas,
+                                   nodes, damping, tol, max_iter)
     with _usage_errors():
-        options = SolverOptions(damping=damping, tol=tol, max_iter=max_iter)
         reports = solve_model(model, params, k=k, thetas=thetas, spec=spec,
                               options=options)
     branches = [r for r in reports if r.converged]
@@ -230,17 +241,8 @@ def _sweep_rows(model, params, k, reports):
 def sweep(model, beta, j0, j, alpha, k, thetas, nodes, damping, tol, max_iter,
           axes, out):
     """Sweep a parameter grid and emit one CSV row per converged branch."""
-    params = _build_params(model, beta, j0, j, alpha)
-    if len(thetas) != k:
-        raise click.UsageError(
-            "depth %d needs exactly %d --theta values, got %d"
-            % (k, k, len(thetas)))
-    if len(axes) > 2:
-        raise click.UsageError("at most two sweep axes are supported")
-    spec = _build_spec(nodes)
-    with _usage_errors():
-        options = SolverOptions(damping=damping, tol=tol, max_iter=max_iter)
-
+    params, spec, options = _setup(model, beta, j0, j, alpha, k, thetas,
+                                   nodes, damping, tol, max_iter, axes)
     parsed = [_parse_axis(a, model) for a in axes]
     points = [{}]
     for name, values in parsed:

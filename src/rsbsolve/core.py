@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +273,3 @@ class SolveReport:
     error: str | None = None
     start: int | None = None
     nodes: int | None = None
-
-    def with_fields(self, **kw):
-        return replace(self, **kw)

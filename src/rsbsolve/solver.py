@@ -3,13 +3,13 @@ optimization.
 
 The driver is generic: it iterates any map over scalars, arrays or
 hierarchical trial points.  A damped step between two admissible trial
-points is admissible (see ``_projection``), which keeps every
-intermediate state constructible.  One loop serves everything: it
-iterates a block of lanes in lockstep, and ``solve_grid`` makes every
-(parameter point, start) pair a lane, mapped on flat vectors by each
-model's block step with one quadrature plan per exponent set;
-``solve_model`` and ``damped_fixed_point`` are its one-point and
-one-lane cases.
+points is admissible to the last bit (rounding is monotone), so every
+intermediate state is constructible without a projection.  One loop
+serves everything: ``_iterate`` runs a block of lanes in lockstep, and
+``solve_grid`` makes every (parameter point, start) pair a lane, mapped
+on flat vectors by each model's block step with the one quadrature plan
+of the call's exponents; ``solve_model`` and ``damped_fixed_point`` are
+its one-point and one-lane cases.
 """
 
 from __future__ import annotations
@@ -94,29 +94,17 @@ def _unflatten(vec, template):
     return replace(template, m=vec[0], qs=vec[1:k + 2], ps=ps)
 
 
-def _projection(width):
-    """Projection onto the admissible set of a block of flat trial
-    points [m, q_1..q_{k+1}, (p_1..)], damped from admissible ones.  Those
-    are admissible already (rounding is monotone, fl(1 - g) + g rounds
-    to 1) but for the sign of a zero plateau: max(0, v) makes it +0.0,
-    as the plain-float clips do."""
-    lo = np.zeros(width)
-    lo[0] = -1.0
-    return lambda x: np.maximum(x, lo)
-
-
 _STALL_WINDOW = 300
 
 
-def _iterate(step, x, opts, project=None, consts=None):
+def _iterate(step, x, opts, consts=None):
     """The damped loop over a block of lanes.
 
     ``x`` holds one flat start vector per lane and ``step(c, xs)`` maps
     the iterates ``xs`` of the running lanes, ``c`` being their rows of
     ``consts`` (default: lane numbers, re-sliced only as lanes leave),
     into the mapped rows and a dict from position to the ``DomainError``
-    or ``NonFiniteIntegrand`` of each failed lane; ``project`` (if any)
-    maps each damped block onto the admissible set.  Each lane keeps its
+    or ``NonFiniteIntegrand`` of each failed lane.  Each lane keeps its
     own damping, stall counter and residual history, and leaves when it
     converges, fails or goes non-finite, so its numbers are those of a
     block of one.  Returns one SolveReport per lane; its ``ansatz`` is
@@ -197,8 +185,6 @@ def _iterate(step, x, opts, project=None, consts=None):
                                          initial=opts.max_iter)
         x = rest * x
         x += gamma * fx
-        if project is not None:
-            x = project(x)
     else:
         final[rows] = x
     lane_ids = np.concatenate([r for r, _ in trace])
@@ -220,30 +206,28 @@ def damped_fixed_point(f, x0, options=None):
     drops under tol.
 
     Works on scalars, arrays and trial points; a trial point is
-    flattened once, iterated as a vector and projected back onto the
-    admissible set after every damped step, and an image of another flat
-    width than the start raises ``ShapeMismatch``.  A residual that stops
-    improving for a stretch (a damping-induced limit cycle) halves the
-    damping factor, down to 1/32 of the requested value.  Hitting the
-    iteration cap or a domain failure of the map is reported through
-    ``converged=False`` (with the failure message in ``error``), never
-    raised.  This is the one-lane case of the loop ``solve_grid`` runs.
+    flattened once, iterated as a vector and unflattened to call ``f``,
+    and an image of another flat width than the start raises
+    ``ShapeMismatch``.  A residual that stops improving for a stretch (a
+    damping-induced limit cycle) halves the damping factor, down to 1/32
+    of the requested value.  Hitting the iteration cap or a domain
+    failure of the map is reported through ``converged=False`` (with the
+    failure message in ``error``), never raised.  This is the one-lane
+    case of ``_iterate``, the loop ``solve_grid`` runs.
     """
     opts = _DEFAULT_OPTIONS if options is None else options
     if isinstance(x0, RsbAnsatz):
         vec = lambda x: _flatten(f(_unflatten(x, x0)))
-        flat = _flatten(x0)
-        rep = _iterate(_one_lane(vec), flat[None], opts,
-                       _projection(flat.size))[0]
-        return rep.with_fields(ansatz=_unflatten(rep.ansatz, x0))
+        rep = _iterate(_one_lane(vec), _flatten(x0)[None], opts)[0]
+        return replace(rep, ansatz=_unflatten(rep.ansatz, x0))
     if np.ndim(x0) == 0:
         vec = lambda x: np.atleast_1d(np.asarray(f(float(x[0])), dtype=float))
         rep = _iterate(_one_lane(vec), np.array([[x0]], dtype=float), opts)[0]
-        return rep.with_fields(ansatz=float(rep.ansatz[0]))
+        return replace(rep, ansatz=float(rep.ansatz[0]))
     x = np.array(x0, dtype=float)
     vec = lambda v: np.asarray(f(v.reshape(x.shape)), dtype=float).reshape(-1)
     rep = _iterate(_one_lane(vec), x.reshape(1, -1), opts)[0]
-    return rep.with_fields(ansatz=rep.ansatz.reshape(x.shape))
+    return replace(rep, ansatz=rep.ansatz.reshape(x.shape))
 
 
 def _one_lane(f):
@@ -379,13 +363,15 @@ def solve_grid(model, params_seq, k=0, thetas=(), spec=None, options=None,
     report list per point, each as ``solve_model`` gives it.
 
     Every (point, start) pair is one lane of a single damped iteration
-    that runs all lanes in lockstep, one block map application per step;
-    lanes are independent, so each report is bit for bit the one a
-    separate solve of that point and start gives.  Lanes per block are
-    capped so that lanes times grid points stays within
-    ``spec.max_tensor_points``; the pressures and stationarity checks of
-    a block are block pressure calls too (``_finish``).  ``starts``
-    (default: ``default_starts`` of each point) applies to every point.
+    that runs all lanes in lockstep on the one quadrature plan of
+    ``thetas``, one block map application per step; lanes are
+    independent, so each report is bit for bit the one a separate solve
+    of that point and start gives.  Lanes per block are capped so that
+    lanes times grid points stays within ``spec.max_tensor_points``;
+    the pressures and stationarity checks of a block are block pressure
+    calls too (``_finish``).  ``starts`` (default: ``default_starts`` of
+    each point) applies to every point; a start of another depth or
+    other exponents than the call's raises ``ShapeMismatch``.
     """
     opts = _DEFAULT_OPTIONS if options is None else options
     spec = spec if spec is not None else QuadratureSpec()
@@ -393,46 +379,35 @@ def solve_grid(model, params_seq, k=0, thetas=(), spec=None, options=None,
     if len(thetas) != k:
         raise RangeViolation("need %d exponents for depth %d, got %d"
                              % (k, k, len(thetas)))
+    for start in starts or ():
+        if start.thetas != thetas:
+            raise ShapeMismatch("a start at depth %d with exponents %r in a "
+                                "solve at depth %d with exponents %r"
+                                % (start.k, start.thetas, k, thetas))
     points = list(params_seq)
     lanes = []                      # (point, start index, start)
     for p, params in enumerate(points):
         own = starts
         if own is None:
             own = default_starts(model, params, k, thetas)
-        for i, start in enumerate(own):
-            if model == "hopfield" and start.ps is not None:
-                # the map iterates with slaved conjugates
-                start = replace(start, ps=None)
-            lanes.append((p, i, start))
+        lanes.extend((p, i, start) for i, start in enumerate(own))
     if model not in _BLOCKS:
         raise RangeViolation("model must be 'sk' or 'hopfield', got %r"
                              % model)
     step, _, constants = _BLOCKS[model]
-    # one plan per distinct exponent set (a caller's start may carry its
-    # own), then blocks of lanes that share it
-    groups = {}
-    for lane, (_, _, start) in enumerate(lanes):
-        groups.setdefault(start.thetas, []).append(lane)
-    done = [None] * len(lanes)
-    for th, members in groups.items():
-        plan = level_plan(th, spec)
-        size = max(1, spec.max_tensor_points // plan.points)
-        for b in range(0, len(members), size):
-            block = members[b:b + size]
-            params = [points[lanes[j][0]] for j in block]
-            consts = constants(params)
-            x0 = np.array([(lanes[j][2].m,) + lanes[j][2].qs for j in block])
-            # unprojected: the maps return admissible rows with +0.0
-            # plateaus, so ``_projection`` would change no bit
-            reps = _iterate(lambda c, x, plan=plan: step(c, plan, x), x0,
-                            opts, None, consts)
-            reps = _finish(model, params, plan, consts,
-                           [lanes[j][1:] for j in block], reps)
-            for j, rep in zip(block, reps):
-                done[j] = rep
+    plan = level_plan(thetas, spec)
+    size = max(1, spec.max_tensor_points // plan.points)
     out = [[] for _ in points]
-    for (p, _, _), rep in zip(lanes, done):
-        out[p].append(rep)
+    for b in range(0, len(lanes), size):
+        block = lanes[b:b + size]
+        params = [points[p] for p, _, _ in block]
+        consts = constants(params)
+        x0 = np.array([(start.m,) + start.qs for _, _, start in block])
+        reps = _iterate(lambda c, x: step(c, plan, x), x0, opts, consts)
+        reps = _finish(model, params, plan, consts,
+                       [lane[1:] for lane in block], reps)
+        for (p, _, _), rep in zip(block, reps):
+            out[p].append(rep)
     for reports in out:
         reports.sort(key=lambda r: (r.pressure is None,
                                     -(r.pressure if r.pressure is not None
@@ -451,10 +426,12 @@ def _finish(model, params, plan, consts, starts, reps):
     iterated lanes, as ``solve_grid`` reports them; ``params``,
     ``consts`` and ``starts`` hold each lane's point, constants and
     (start index, start).  Only converged lanes get a pressure and a
-    stationarity.  The pressures and every stencil of ``_gradient`` are
-    block pressure calls, each row bit for bit the public pressure, so
-    every number is that of ``stationarity_check`` on the lane.
-    ``stationary`` flags a gradient within 1e-5.
+    stationarity.  The reported ``ps`` are the closed-form conjugates of
+    the endpoint (pattern model at alpha > 0, else None), never a
+    start's.  The pressures and every stencil of ``_gradient`` are block
+    pressure calls, each row bit for bit the public pressure, so every
+    number is that of ``stationarity_check`` on the lane.  ``stationary``
+    flags a gradient within 1e-5.
     """
     x = np.array([rep.ansatz for rep in reps])
     base = [i for i, rep in enumerate(reps) if rep.converged]
@@ -478,15 +455,14 @@ def _finish(model, params, plan, consts, starts, reps):
                 if p.alpha > 0.0 and i not in failed}
     out = []
     for i, ((index, start), rep) in enumerate(zip(starts, reps)):
-        ansatz = replace(start, m=x[i, 0], qs=x[i, 1:],
-                         ps=conj.get(i, start.ps))
+        ansatz = replace(start, m=x[i, 0], qs=x[i, 1:], ps=conj.get(i))
         error = errors.get(i, rep.error)
         p = pressure[i] if rep.converged and error is None else None
         if p is not None and model == "hopfield" and params[i].alpha == 0.0:
             p = float(p)            # the one-body value is a plain float
         stat = None if math.isnan(grads[i]) else float(grads[i])
-        out.append(rep.with_fields(
-            ansatz=ansatz, start=index, nodes=len(plan.nodes[0]),
+        out.append(replace(
+            rep, ansatz=ansatz, start=index, nodes=len(plan.nodes[0]),
             pressure=p, stationarity=stat, error=error,
             converged=rep.converged and i not in errors,
             stationary=None if stat is None else stat <= _STATIONARY))

@@ -323,6 +323,21 @@ def test_single_start_override():
     assert reps[0].converged
 
 
+def test_start_of_another_shape_is_refused():
+    # a solve runs at the depth and exponents it is asked for: a start
+    # of another depth or other exponents is not solved there instead
+    params = SkParams(beta=1.4, j0=0.0, j=1.0)
+    for start in (RsbAnsatz(k=0, m=0.0, qs=(0.2,)),
+                  RsbAnsatz(k=1, m=0.0, qs=(0.1, 0.3), thetas=(0.3,))):
+        want = ("a start at depth %d with exponents %r in a solve at depth 1"
+                " with exponents (0.5,)" % (start.k, start.thetas))
+        with pytest.raises(ShapeMismatch) as one:
+            solve_model("sk", params, 1, (0.5,), starts=[start])
+        with pytest.raises(ShapeMismatch) as grid:
+            solve_grid("sk", [params, params], 1, (0.5,), starts=[start])
+        assert str(one.value) == str(grid.value) == want
+
+
 def _solve_point(model, beta, thetas):
     return next(p for p in SOLVE_POINTS
                 if p[0] == model and p[1].beta == beta and p[2] == thetas)
@@ -629,9 +644,8 @@ def _admissible_rows(rng, n, width):
 
 @pytest.mark.parametrize("damping", [1.0, 0.5, 0.3, 0.77, 0.1])
 def test_damped_step_keeps_rows_admissible(damping):
-    # why solve_grid projects nothing and _projection only clears the
-    # sign of zero plateaus: rounding is monotone, so a damped step
-    # between admissible rows is admissible to the last bit
+    # why the damped loop projects nothing: rounding is monotone, so a
+    # damped step between admissible rows is admissible to the last bit
     rng = np.random.default_rng(17)
     for halving in range(6):
         gamma = damping * 0.5 ** halving
