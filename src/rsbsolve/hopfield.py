@@ -46,12 +46,13 @@ def _cascade(beta, q, th):
     """
     k = q.shape[1] - 1
     b = beta[:, None]                   # (lanes, 1) columns, joined once
-    qd = [1.0 - b * (1.0 - q[:, k:])]
+    col = [q] if k == 0 else [q[:, i:i + 1] for i in range(k + 1)]
+    qd = [1.0 - b * (1.0 - col[k])]
     for i in range(k - 1, -1, -1):
-        qd.append(qd[-1] - b * th[i] * (q[:, i + 1:i + 2] - q[:, i:i + 1]))
+        qd.append(qd[-1] - b * th[i] * (col[i + 1] - col[i]))
     qd = qd[0] if k == 0 else np.concatenate(qd[::-1], axis=1)
     failed = {}
-    if not np.minimum.reduce(qd, axis=None, initial=math.inf) > 0.0:
+    if not min(qd.ravel().tolist(), default=math.inf) > 0.0:
         bad = qd <= 0.0
         for r in np.flatnonzero(bad.any(axis=1)).tolist():
             i = int(np.flatnonzero(bad[r])[-1])
@@ -59,10 +60,10 @@ def _cascade(beta, q, th):
             failed[r] = SusceptibilityDivergence(
                 "response denominator %r <= 0 at %s" % (float(qd[r, i]), where))
         qd[list(failed)] = np.nan
-    ps = [b * q[:, :1] / np.float_power(qd[:, :1], 2)]
+    den = [qd] if k == 0 else [qd[:, i:i + 1] for i in range(k + 1)]
+    ps = [b * col[0] / np.float_power(den[0], 2)]
     for i in range(1, k + 1):
-        ps.append(ps[-1] + b * (q[:, i:i + 1] - q[:, i - 1:i]) / (
-            qd[:, i:i + 1] * qd[:, i - 1:i]))
+        ps.append(ps[-1] + b * (col[i] - col[i - 1]) / (den[i] * den[i - 1]))
     return qd, ps[0] if k == 0 else np.concatenate(ps, axis=1), failed
 
 
@@ -134,7 +135,8 @@ def _pressure_block(lanes, plan, x, ps=None):
     for i in range(k):
         tower = tower + _log(qd[:, i + 1] / qd[:, i]) / th[i]
         mix = mix + th[i] * (conj[:, i + 1] * q[:, i + 1] - conj[:, i] * q[:, i])
-    field, bad = plan_log_cosh(plan, beta * m, _field_coeffs(lanes[:, 2:], conj))
+    field, bad = plan_log_cosh(plan, beta * m,
+                               _field_coeffs(lanes[:, 2:3], conj))
     bad.update(failed)
     tower = half * tower
     logterm = -half * _log(qd[:, k])
@@ -196,9 +198,12 @@ def hop_sce_rs(params, m, q, spec=None):
 
 def _lanes(params_seq):
     """Per-lane map constants (beta, alpha, alpha beta) of a block of
-    points, column-major."""
-    return np.array([(p.beta, p.alpha, p.alpha * p.beta) for p in params_seq],
-                    dtype=float, order="F")
+    points, column-major, and in every row the number of zero-load
+    points of the block: rows only ever leave a block, so a block whose
+    first row counts none has no zero-load lane."""
+    zero = sum(p.alpha == 0.0 for p in params_seq)
+    return np.array([(p.beta, p.alpha, p.alpha * p.beta, zero)
+                     for p in params_seq], dtype=float, order="F")
 
 
 def _sce_step(lanes, plan, x, ps=None):
@@ -211,10 +216,13 @@ def _sce_step(lanes, plan, x, ps=None):
     Returns the mapped block and a dict from row to the ``DomainError``
     of that lane's cascade or the ``NonFiniteIntegrand`` of its field
     (its row is NaN).  Zero-load lanes keep ``math.tanh`` (``np.tanh``
-    rounds differently) and enter the kernel with zero conjugates.
+    rounds differently) and enter the kernel with zero conjugates; a
+    block is scanned for them only if its count of them is not zero.
     """
     beta = lanes[:, 0]
-    free = [i for i, a in enumerate(lanes[:, 1].tolist()) if a == 0.0]
+    free = []
+    if len(lanes) and lanes[0, 3]:
+        free = [i for i, a in enumerate(lanes[:, 1].tolist()) if a == 0.0]
     out, failed = np.empty(x.shape), {}
     if len(free) < len(x):
         if ps is None:
@@ -223,7 +231,7 @@ def _sce_step(lanes, plan, x, ps=None):
             ps = np.array(ps, dtype=float)
             ps[free] = 0.0
         out, bad = plan_moments(plan, beta * x[:, 0],
-                                _field_coeffs(lanes[:, 2:], ps))
+                                _field_coeffs(lanes[:, 2:3], ps))
         bad.update(failed)
         failed = {i: exc for i, exc in bad.items() if i not in free}
     for i in free:

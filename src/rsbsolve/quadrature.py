@@ -18,11 +18,15 @@ the node count is fitted to that shallower grid: a fully collapsed
 depth-k lane costs one level at ``nodes_per_level`` nodes.
 
 A ``LevelPlan`` fixes the exponents, nodes, weights and exponent ratios
-of one depth; ``plan_moments`` / ``plan_log_cosh`` evaluate on it, so a
-solver builds the plan once and every map application only builds the
-field.  Both evaluate a block of lanes (fields) at once.
-The transcendentals run in place and each level is integrated out with
-one row sum.  Everything runs in the log domain with a max subtraction
+of one depth; ``plan_moments`` / ``plan_log_cosh`` evaluate a block of
+lanes (fields) on it, so a solver builds the plan once and every map
+application only builds the field.  Three layers run a block:
+``_finite_lanes`` keeps lanes with unbounded fields off the kernel,
+``_nested`` drops zero levels, picks each lane's grids and integrates
+the outermost level, and ``_tensor_rows`` walks the tensor grid in
+chunks, so a block of one chunk reaches its transcendentals in three
+calls.  They run in place and each level is integrated out with one
+row sum.  Everything runs in the log domain with a max subtraction
 per reduction, so large arguments cannot overflow; that max is read off
 the two end nodes, since every level's log kernel is convex in its node.
 
@@ -269,7 +273,8 @@ def _field_tensor(offset, coeffs, nodes):
     rounded sum g_i + c x_j exactly as ``np.add.outer`` gives it,
     without numpy's per-row broadcast loop.
     """
-    g = offset[:, None] + coeffs[:, :1] * nodes[0]
+    g = coeffs[:, :1] * nodes[0]
+    g += offset[:, None]
     for a, x in enumerate(nodes[1:], 1):
         lanes = len(g)
         lhs = np.ones((lanes, g[0].size, 2))
@@ -305,37 +310,6 @@ def _reweight(logn, r, w):
     np.exp(logn, out=logn)
     logn *= w
     return mx
-
-
-def _by_outer_nodes(nrows, nodes, inner, *lanes, per_point=1):
-    """``_tensor_rows(nrows, nodes, inner, *lanes)`` on the whole
-    tensor grid of ``nodes`` for a block of lanes, evaluated in chunks of
-    lanes and outermost nodes: shape ``(nrows, lanes, len(nodes[0]))``.
-
-    ``lanes`` holds the per-lane arrays, lane on the first axis.  Each
-    chunk holds at most ``_CHUNK_POINTS // per_point`` grid points (one
-    lane's outer-node sub-grid if that alone is larger), runs on the
-    caller and writes its block of the last two axes.  Every step of
-    ``_tensor_rows`` is elementwise or a row sum over the last axis, so
-    each entry is bit for bit that of the grid in one piece, which is
-    what a grid of one chunk gets.
-    """
-    count = len(lanes[0])
-    points = len(nodes[0]) ** len(nodes)   # every level has one rule
-    if count * points * per_point <= _CHUNK_POINTS:
-        return _tensor_rows(nrows, nodes, inner, *lanes)
-    n0 = len(nodes[0])
-    budget = max(1, _CHUNK_POINTS // per_point)
-    fit = budget // (points // n0)          # lanes of one outer node
-    size = max(1, fit // count)             # outer nodes per chunk
-    width = max(1, min(count, fit))         # lanes per chunk
-    out = np.empty((nrows, count, n0))
-    for a in range(0, count, width):
-        for b in range(0, n0, size):
-            ls, ns = slice(a, a + width), slice(b, b + size)
-            out[:, ls, ns] = _tensor_rows(nrows, (nodes[0][ns],) + nodes[1:],
-                                          inner, *(x[ls] for x in lanes))
-    return out
 
 
 def plan_log_cosh(plan, offset, coeffs):
@@ -390,76 +364,37 @@ def _clip_bounds(lanes, width):
 
 
 def _finite_lanes(plan, offset, coeffs, moments, what):
-    """``_nested(plan, offset, coeffs, moments)`` on the lanes whose field
-    is finite on the whole grid (NaN for the others, which are not
-    evaluated), and a dict from row to a ``NonFiniteIntegrand(what)``
-    for each lane whose field or row is not finite.  A lane's largest |field| is |offset| + h_max sum |c_a|; one
-    reduction bounds all (no numpy warnings), and below 2^1000 one sum
-    shows finite rows.  The per-lane tests run where either fails."""
+    """``_nested(plan, offset, coeffs, moments)`` on the lanes whose
+    fields are bounded on the whole grid (NaN for the others, which are
+    not evaluated), and a dict from row to a ``NonFiniteIntegrand(what)``
+    for each lane whose field or row is not finite.  A lane's largest
+    |field| is |offset| + h_max sum |c_a|, and below 2^1000 no step of
+    the kernel overflows.  One bound covers the block, in Python floats:
+    (1 + h_max (k+1)) times the norm of all entries, which is NaN or inf
+    with any entry (``max`` drops a NaN by where it sits).  Below it, one
+    sum shows finite rows; the per-lane tests run where either fails."""
     lanes = len(offset)
     shape = (lanes, coeffs.shape[1] + 1) if moments else (lanes,)
     if not lanes:
         return np.empty(shape), {}
     hmax = float(plan.nodes[0][-1])
-    top = np.maximum.reduce(np.abs(np.concatenate((offset[:, None], coeffs),
-                                                  axis=1)), axis=None)
-    if (1.0 + hmax * coeffs.shape[1]) * float(top) < 2.0 ** 1000:
-        out = _without_zero_levels(plan, offset, coeffs, moments)
-        if math.isfinite(np.add.reduce(out, axis=None)):
+    if (1.0 + hmax * coeffs.shape[1]) * math.hypot(
+            *offset.tolist(), *coeffs.ravel().tolist()) < 2.0 ** 1000:
+        out = _nested(plan, offset, coeffs, moments)
+        if math.isfinite(sum(out.ravel(order="K").tolist())):
             return out, {}
     else:
         with np.errstate(over="ignore"):
-            finite = np.isfinite(np.abs(offset)
-                                 + hmax * np.abs(coeffs).sum(axis=1))
+            bounded = (np.abs(offset) + hmax * np.abs(coeffs).sum(axis=1)
+                       < 2.0 ** 1000)
         out = np.full(shape, np.nan)
-        if finite.any():
-            out[finite] = _without_zero_levels(plan, offset[finite],
-                                               coeffs[finite], moments)
+        if bounded.any():
+            out[bounded] = _nested(plan, offset[bounded], coeffs[bounded],
+                                   moments)
     bad = ~np.isfinite(out.reshape(lanes, -1)).all(axis=1)
     out[bad] = np.nan
     return out, {i: NonFiniteIntegrand(what)
                  for i in np.flatnonzero(bad).tolist()}
-
-
-def _without_zero_levels(plan, offset, coeffs, moments):
-    """``_nested(plan, offset, coeffs, moments)`` on a block of lanes
-    with finite fields, where each lane with exact zeros among its
-    interior field coefficients (columns 1..k) runs on the plan of the
-    hierarchy without those levels.
-
-    A level a with c_a = 0 is an exact identity: its kernel is constant
-    over its nodes, so it passes the inner log kernel through, scaled by
-    theta_a / theta_{a+1}, which the outer ratio then takes over.  Its
-    plateau (the square of the tanh average given levels 0..a-1) is that
-    of its inner neighbour, so a moment row copies it from there.  Lanes
-    without an interior zero, and every k=0 block, run on ``plan``.
-    """
-    if not plan.thetas or coeffs[:, 1:].all():
-        return _nested(plan, offset, coeffs, moments)
-    out = np.empty((len(offset), coeffs.shape[1] + 1) if moments
-                   else len(offset))
-    keys, group = np.unique(coeffs[:, 1:] == 0.0, axis=0, return_inverse=True)
-    for g, key in enumerate(keys):
-        rows = group.reshape(-1) == g
-        keep = ~key
-        sub = level_plan(np.compress(keep, plan.thetas), plan.spec)
-        res = _nested(sub, offset[rows], coeffs[rows][:, np.r_[True, keep]],
-                      moments)
-        if moments:        # plateau columns innermost first
-            res = res[:, np.r_[0, 1 + np.cumsum(np.r_[0, keep[::-1]])]]
-        out[rows] = res
-    return out
-
-
-def _nested(plan, offset, coeffs, moments):
-    """The nested averages of a block of lanes with finite fields: the
-    field term (1/theta_1) E log Z_1 of each lane, which is row 0 of the
-    recursion, or on the moment pass the unclipped
-    ``[m, q_{k+1}, ..., q_1]`` rows, which are rows 1.. of it."""
-    rows = _levels(len(plan.inner) + 3 if moments else 1, plan, offset, coeffs)
-    if moments:
-        return np.vecdot(rows[1:], plan.weights[0]).T
-    return np.vecdot(rows[0], plan.weights[0]) / (plan.thetas + (1.0,))[0]
 
 
 def _leaf(g, nrows, log):
@@ -494,48 +429,85 @@ def _step(rows, w, r):
     return nxt
 
 
-def _levels(nrows, plan, offset, coeffs):
-    """The ``nrows`` rows of a block of lanes with finite fields on the
-    outermost level's nodes, every interior level integrated out: shape
-    ``(nrows, lanes, n)``.  ``_leaf`` gives the rows of the innermost
-    level from its fields and ``_step`` integrates a level out of them.
+def _nested(plan, offset, coeffs, moments):
+    """The nested averages of a block of lanes with bounded fields: the
+    field term (1/theta_1) E log Z_1 of each lane, which is row 0 of the
+    recursion, or on the moment pass the unclipped
+    ``[m, q_{k+1}, ..., q_1]`` rows, which are rows 1.. of it.
 
-    A lane whose levels are all exact (``_exact_depth``) runs on the
-    tensor grid; the others run their deeper levels on grids
-    (``_grid_rows``).  Either way a lane's row is that of a block of one.
+    A level a with c_a = 0 is an exact identity: its kernel is constant
+    over its nodes, so it passes the inner log kernel through, scaled by
+    theta_a / theta_{a+1}, which the outer ratio then takes over, and its
+    plateau is that of its inner neighbour.  So a lane with exact zeros
+    among its interior coefficients (columns 1..k) runs on the plan
+    without those levels.  The others run on the tensor grid
+    (``_tensor_rows``) or, per ``_exact_depth``, with their deeper levels
+    on grids (``_grid_rows``); a lane's row is that of a block of one.
     """
     k = len(plan.thetas)
+    if k and not coeffs[:, 1:].all():
+        out = np.empty((len(offset), k + 2) if moments else len(offset))
+        keys, group = np.unique(coeffs[:, 1:] == 0.0, axis=0,
+                                return_inverse=True)
+        for g, key in enumerate(keys):
+            rows = group.reshape(-1) == g
+            keep = ~key
+            sub = level_plan(np.compress(keep, plan.thetas), plan.spec)
+            res = _nested(sub, offset[rows],
+                          coeffs[rows][:, np.r_[True, keep]], moments)
+            if moments:        # plateau columns innermost first
+                res = res[:, np.r_[0, 1 + np.cumsum(np.r_[0, keep[::-1]])]]
+            out[rows] = res
+        return out
+    nrows = k + 3 if moments else 1
     # below depth 2, or where the n^2 exact points of level 2 alone cost
     # the tensor grid (see _exact_depth), every lane is exact
     if k < 2 or len(plan.nodes[0]) ** (k - 1) <= 2 * _STENCIL:
-        return _by_outer_nodes(nrows, plan.nodes, plan.inner, offset, coeffs)
-
-    def run(p, offset, coeffs):
-        if p == k:
-            return _by_outer_nodes(nrows, plan.nodes, plan.inner, offset,
-                                   coeffs)
-        return _grid_rows(nrows, plan, offset, coeffs, p)
-
-    depth = _exact_depth(plan, offset, coeffs)
-    depths = np.unique(depth).tolist()
-    if len(depths) == 1:
-        return run(depths[0], offset, coeffs)
-    out = np.empty((nrows, len(offset), len(plan.nodes[0])))
-    for p in depths:
-        lanes = depth == p
-        out[:, lanes] = run(p, offset[lanes], coeffs[lanes])
-    return out
+        rows = _tensor_rows(nrows, plan.nodes, plan.inner, offset, coeffs)
+    else:
+        depth = _exact_depth(plan, offset, coeffs)
+        groups = np.unique(depth).tolist()
+        rows = np.empty((nrows, len(offset), len(plan.nodes[0])))
+        for p in groups:
+            lanes = depth == p if len(groups) > 1 else slice(None)
+            rows[:, lanes] = (
+                _tensor_rows(nrows, plan.nodes, plan.inner, offset[lanes],
+                             coeffs[lanes]) if p == k else
+                _grid_rows(nrows, plan, offset[lanes], coeffs[lanes], p))
+    if moments:
+        return np.vecdot(rows[1:], plan.weights[0]).T
+    return np.vecdot(rows[0], plan.weights[0]) / (plan.thetas + (1.0,))[0]
 
 
-def _tensor_rows(nrows, nodes, inner, offset, coeffs, *grid):
-    """The rows of a block of lanes on the outermost level's
+def _tensor_rows(nrows, nodes, inner, offset, coeffs, *grid, per_point=1):
+    """The ``nrows`` rows of a block of lanes on the outermost level's
     ``nodes[0]``, every level of ``inner`` integrated out of the tensor
-    grid of ``nodes``.
+    grid of ``nodes``: shape ``(nrows, lanes, len(nodes[0]))``.
 
     The innermost level's rows are ``_leaf`` of its fields or, given
     ``grid`` (each lane's first grid point and its rows on the grid of
     the level below ``nodes``, lane first), interpolated from there.
+    A block of more than ``_CHUNK_POINTS // per_point`` grid points runs
+    in chunks of lanes and outermost nodes of at most that many (one
+    lane's outer-node sub-grid if that alone is larger), each writing
+    its block of the last two axes; every step is elementwise or a row
+    sum over the last axis, so each entry is that of one piece.
     """
+    count, n0 = len(offset), len(nodes[0])
+    # lanes times outer nodes that fit a chunk
+    fit = max(1, _CHUNK_POINTS // per_point) // len(nodes[-1]) ** (
+        len(nodes) - 1)
+    if count * n0 > max(1, fit):
+        size = max(1, fit // count)             # outer nodes per chunk
+        width = max(1, min(count, fit))         # lanes per chunk
+        out = np.empty((nrows, count, n0))
+        for a in range(0, count, width):
+            for b in range(0, n0, size):
+                ls, ns = slice(a, a + width), slice(b, b + size)
+                out[:, ls, ns] = _tensor_rows(
+                    nrows, (nodes[0][ns],) + nodes[1:], inner, offset[ls],
+                    coeffs[ls], *(x[ls] for x in grid), per_point=per_point)
+        return out
     g = _field_tensor(offset, coeffs, nodes)
     if grid:
         start, below = grid
@@ -591,7 +563,7 @@ def _exact_depth(plan, offset, coeffs):
 
 def _grid_rows(nrows, plan, offset, coeffs, p):
     """The rows of a block of lanes on the outermost level's nodes, as
-    ``_levels`` gives them, with levels p+1..k on grids.
+    ``_nested`` integrates them, with levels p+1..k on grids.
 
     Level a of a lane is a function of the cumulative field y alone.  Its
     grid has spacing ``_DY`` and spans the exact fields, offset +- reach
@@ -629,10 +601,9 @@ def _grid_rows(nrows, plan, offset, coeffs, p):
                                + coeffs[:, a, None] * h) / _DY)
         rows = _on_grid(partial(_shifted, rows, first, lam), plan.inner[k - a],
                         size[col], count * len(h) * _STENCIL)
-    return _by_outer_nodes(nrows, plan.nodes[:p + 1],
-                           plan.inner[k - p:], offset, coeffs[:, :p + 1],
-                           origin[:, 0], np.moveaxis(rows, 1, 0),
-                           per_point=_STENCIL)
+    return _tensor_rows(nrows, plan.nodes[:p + 1], plan.inner[k - p:],
+                        offset, coeffs[:, :p + 1], origin[:, 0],
+                        np.moveaxis(rows, 1, 0), per_point=_STENCIL)
 
 
 def _on_grid(rows_at, level, size, per_point):

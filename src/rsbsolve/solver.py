@@ -110,15 +110,15 @@ def _iterate(step, x, opts, consts=None):
     block of one.  Returns one SolveReport per lane; its ``ansatz`` is
     the last point mapped, or the next damped step at the cap.
 
-    Cost: an iteration is one map application plus a fixed number of
-    numpy calls, whatever the lane count.  At k=0 on 80 nodes that fixed
-    cost dominates (about 24 us an iteration of one pairwise lane, 32 us
-    of a pattern-model lane, on a 2-vCPU VM), so the common step (no
-    lane leaves, fails or stalls) takes one reduction, tests the
-    residuals as Python floats and keeps every per-lane array
-    column-major like the map's rows, the damping at every entry: no
-    call broadcasts or mixes layouts.  At k >= 1 the kernel dominates
-    (about 180 us for two pairwise lanes at k=1).
+    Cost: an iteration is one map application plus seven numpy calls
+    (the residuals, their list and the damped step), whatever the lane
+    count.  At k=0 on 80 nodes that fixed cost dominates, so the common
+    step (no lane leaves, fails or stalls) tests the residuals as Python
+    floats, keeps each lane's stall record in Python lists updated from
+    them, and keeps every per-lane array column-major like the map's
+    rows, the damping at every entry: no call broadcasts or mixes
+    layouts.  At k >= 1 the kernel dominates (``tools/bench.py`` times
+    both).
     """
     lanes = len(x)
     final = x.copy()
@@ -127,15 +127,15 @@ def _iterate(step, x, opts, consts=None):
     errors = [None] * lanes
     floor = opts.damping / 32.0
     # per running lane, aligned with ``rows``: damping and its
-    # complement (every entry of a row), best residual, and the
-    # iteration that last improved on it or halved the damping
+    # complement (every entry of a row), the residual 1 % below its best,
+    # and the iteration that last beat it or halved the damping
     rows = np.arange(lanes)
     consts = rows if consts is None else consts
     x = np.asfortranarray(x)
     gamma = np.full_like(x, opts.damping)
     rest = 1.0 - gamma
-    best = np.full(lanes, math.inf)
-    mark = np.zeros(lanes, dtype=int)
+    bar = [math.inf] * lanes
+    mark = [0] * lanes
     due = _STALL_WINDOW             # no lane can stall before this
     trace = []                      # (rows, residuals) per iteration
     for it in range(1, opts.max_iter + 1):
@@ -164,25 +164,29 @@ def _iterate(step, x, opts, consts=None):
             keep = ~left
             if not keep.any():
                 break
-            rows, fx, residual = rows[keep], fx[keep], residual[keep]
-            best, mark = best[keep], mark[keep]
+            rows, fx = rows[keep], fx[keep]
+            kept = np.flatnonzero(keep).tolist()
+            r, bar, mark = ([v[i] for i in kept] for v in (r, bar, mark))
             x, gamma, rest, consts = (np.asfortranarray(a[keep])
                                       for a in (x, gamma, rest, consts))
         else:
             trace.append((rows, residual))
         # a residual that stops improving for _STALL_WINDOW iterations
         # halves the lane's damping
-        better = residual < 0.99 * best
-        np.putmask(best, better, residual)
-        np.putmask(mark, better, it)
+        for i, v in enumerate(r):
+            if v < bar[i]:
+                bar[i] = 0.99 * v
+                mark[i] = it
         if it >= due:
-            halve = (it - mark >= _STALL_WINDOW) & (gamma[:, 0] > floor)
-            if halve.any():
-                gamma[halve] *= 0.5
-                rest = 1.0 - gamma
-                mark[halve] = it
-            due = _STALL_WINDOW + np.min(mark[gamma[:, 0] > floor],
-                                         initial=opts.max_iter)
+            damp = gamma[:, 0].tolist()
+            halve = [i for i, m in enumerate(mark)
+                     if it - m >= _STALL_WINDOW and damp[i] > floor]
+            gamma[halve] *= 0.5
+            rest = 1.0 - gamma
+            for i in halve:
+                mark[i], damp[i] = it, 0.5 * damp[i]
+            due = _STALL_WINDOW + min([m for m, g in zip(mark, damp)
+                                       if g > floor], default=opts.max_iter)
         x = rest * x
         x += gamma * fx
     else:
@@ -329,20 +333,29 @@ def default_starts(model, params, k, thetas=()):
 
     Pattern-model starts are floored so the response denominator
     1 - beta (1 - q) begins at 0.5 or better; below that the conjugate
-    plateaus explode and the aligned basin is lost.
+    plateaus explode and the aligned basin is lost.  The plateaus are
+    capped at 0.97, or halfway from the floor to 1 where the floor
+    passes 0.97 (beta > 50/3), so that they are non-decreasing, within
+    [floor, 1] and distinct at k >= 1.
     """
+    return [RsbAnsatz(k=k, m=row[0], qs=row[1:], thetas=thetas)
+            for row in _start_rows(model, params, k)]
+
+
+def _start_rows(model, params, k):
+    """The flat vectors [m, q_1..q_{k+1}] of ``default_starts``; the
+    plateaus run evenly from a low to a high end, by ``np.linspace``'s
+    arithmetic in plain floats."""
     floor = 0.0
     if model == "hopfield" and params.beta > 0.5:
         floor = 1.0 - 0.5 / params.beta
-    lo_hot, hi_hot = max(0.55, floor), min(max(0.9, floor + 0.1), 0.97)
-    lo_cold, hi_cold = max(0.01, floor), min(max(0.15, floor + 0.1), 0.97)
-    hot = RsbAnsatz(k=k, m=0.999,
-                    qs=tuple(np.linspace(lo_hot, hi_hot, k + 1)),
-                    thetas=thetas, ps=None)
-    cold = RsbAnsatz(k=k, m=0.0,
-                     qs=tuple(np.linspace(lo_cold, hi_cold, k + 1)),
-                     thetas=thetas, ps=None)
-    return [hot, cold]
+    cap = 0.97 if floor < 0.97 else 0.5 * (1.0 + floor)
+    rows = []
+    for m, lo, hi in ((0.999, 0.55, 0.9), (0.0, 0.01, 0.15)):
+        lo, hi = max(lo, floor), min(max(hi, floor + 0.1), cap)
+        step = (hi - lo) / k if k else 0.0
+        rows.append((m, *(i * step + lo for i in range(k)), hi if k else lo))
+    return rows
 
 
 def solve_model(model, params, k=0, thetas=(), spec=None, options=None,
@@ -385,12 +398,14 @@ def solve_grid(model, params_seq, k=0, thetas=(), spec=None, options=None,
                                 "solve at depth %d with exponents %r"
                                 % (start.k, start.thetas, k, thetas))
     points = list(params_seq)
-    lanes = []                      # (point, start index, start)
+    if starts is None and points:
+        # the exponents are checked once, as each start would check them
+        RsbAnsatz(k=k, m=0.0, qs=(0.0,) * (k + 1), thetas=thetas)
+    lanes = []                      # (point, start index, flat start)
     for p, params in enumerate(points):
-        own = starts
-        if own is None:
-            own = default_starts(model, params, k, thetas)
-        lanes.extend((p, i, start) for i, start in enumerate(own))
+        own = (_start_rows(model, params, k) if starts is None
+               else [(start.m,) + start.qs for start in starts])
+        lanes.extend((p, i, row) for i, row in enumerate(own))
     if model not in _BLOCKS:
         raise RangeViolation("model must be 'sk' or 'hopfield', got %r"
                              % model)
@@ -402,10 +417,10 @@ def solve_grid(model, params_seq, k=0, thetas=(), spec=None, options=None,
         block = lanes[b:b + size]
         params = [points[p] for p, _, _ in block]
         consts = constants(params)
-        x0 = np.array([(start.m,) + start.qs for _, _, start in block])
+        x0 = np.array([row for _, _, row in block])
         reps = _iterate(lambda c, x: step(c, plan, x), x0, opts, consts)
         reps = _finish(model, params, plan, consts,
-                       [lane[1:] for lane in block], reps)
+                       [index for _, index, _ in block], reps)
         for (p, _, _), rep in zip(block, reps):
             out[p].append(rep)
     for reports in out:
@@ -421,11 +436,11 @@ _STEP = 1e-5
 _STATIONARY = 1e-5
 
 
-def _finish(model, params, plan, consts, starts, reps):
+def _finish(model, params, plan, consts, indices, reps):
     """Pressure, stationarity and closed-form conjugates of a block of
     iterated lanes, as ``solve_grid`` reports them; ``params``,
-    ``consts`` and ``starts`` hold each lane's point, constants and
-    (start index, start).  Only converged lanes get a pressure and a
+    ``consts`` and ``indices`` hold each lane's point, constants and
+    start index.  Only converged lanes get a pressure and a
     stationarity.  The reported ``ps`` are the closed-form conjugates of
     the endpoint (pattern model at alpha > 0, else None), never a
     start's.  The pressures and every stencil of ``_gradient`` are block
@@ -454,18 +469,22 @@ def _finish(model, params, plan, consts, starts, reps):
         conj = {i: tuple(ps[i].tolist()) for i, p in enumerate(params)
                 if p.alpha > 0.0 and i not in failed}
     out = []
-    for i, ((index, start), rep) in enumerate(zip(starts, reps)):
-        ansatz = replace(start, m=x[i, 0], qs=x[i, 1:], ps=conj.get(i))
+    k, nodes, rows = len(plan.thetas), len(plan.nodes[0]), x.tolist()
+    for i, (index, rep) in enumerate(zip(indices, reps)):
+        ansatz = RsbAnsatz(k=k, m=rows[i][0], qs=rows[i][1:],
+                           thetas=plan.thetas, ps=conj.get(i))
         error = errors.get(i, rep.error)
         p = pressure[i] if rep.converged and error is None else None
         if p is not None and model == "hopfield" and params[i].alpha == 0.0:
             p = float(p)            # the one-body value is a plain float
         stat = None if math.isnan(grads[i]) else float(grads[i])
-        out.append(replace(
-            rep, ansatz=ansatz, start=index, nodes=len(plan.nodes[0]),
-            pressure=p, stationarity=stat, error=error,
-            converged=rep.converged and i not in errors,
-            stationary=None if stat is None else stat <= _STATIONARY))
+        out.append(SolveReport(
+            ansatz=ansatz, residual=rep.residual, iterations=rep.iterations,
+            converged=rep.converged and i not in errors, pressure=p,
+            stationarity=stat,
+            stationary=None if stat is None else stat <= _STATIONARY,
+            residual_history=rep.residual_history, error=error, start=index,
+            nodes=nodes))
     return out
 
 

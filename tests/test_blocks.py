@@ -356,7 +356,7 @@ def _finish_one(model, params, a):
                       iterations=1, converged=True)
     plan = quadrature.level_plan(a.thetas, SPEC24)
     return solver._finish(model, [params], plan, constants([params]),
-                          [(0, a)], [rep])[0]
+                          [0], [rep])[0]
 
 
 _DELTA = 1e-5

@@ -504,10 +504,14 @@ def _tensor_only(monkeypatch):
                                                              len(plan.thetas)))
 
 
-def _full_grid(monkeypatch):
-    """Every lane on its plan's whole tensor grid, zero levels included."""
+def _full_grid(monkeypatch, coeffs):
+    """Every lane on its plan's whole tensor grid, zero levels included:
+    returns ``coeffs`` with each exact zero made the smallest subnormal,
+    so that no level is dropped.  That moves no field, since every field
+    here is far above 1e-300, so the rows are bit for bit those of the
+    zero coefficients on the whole grid."""
     _tensor_only(monkeypatch)
-    monkeypatch.setattr(quadrature, "_without_zero_levels", quadrature._nested)
+    return np.where(coeffs == 0.0, 5e-324, coeffs)
 
 
 PLAN_KERNELS = pytest.mark.parametrize("kernel", ["plan_moments",
@@ -537,9 +541,9 @@ def test_zero_levels_dropped_as_on_the_full_grid(k, zeros, monkeypatch):
     assert sum(points) == 2 * 4 * 12 ** (k + 1 - len(zeros))
     for a in zeros:
         assert np.array_equal(x[:, a], x[:, a + 1])
-    _full_grid(monkeypatch)
-    want, _ = quadrature.plan_log_cosh(plan, offset, coeffs)
-    want_x, _ = quadrature.plan_moments(plan, offset, coeffs)
+    full = _full_grid(monkeypatch, coeffs)
+    want, _ = quadrature.plan_log_cosh(plan, offset, full)
+    want_x, _ = quadrature.plan_moments(plan, offset, full)
     assert sum(points) == 2 * 4 * 12 ** (k + 1 - len(zeros)) \
         + 2 * 4 * 12 ** (k + 1)
     assert np.abs(value - want).max() <= 1e-13
@@ -585,10 +589,50 @@ def test_plain_lanes_of_a_mixed_block_are_bitwise(kernel, monkeypatch):
     plain = [0, 2, 3, 5]
     fn = getattr(quadrature, kernel)
     got, _ = fn(plan, offset, coeffs)
-    _full_grid(monkeypatch)
-    want, _ = fn(plan, offset, coeffs)
+    want, _ = fn(plan, offset, _full_grid(monkeypatch, coeffs))
     assert got[plain].tobytes() == want[plain].tobytes()
     assert np.abs(got - want).max() <= 1e-13
+
+
+@PLAN_KERNELS
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e308])
+@pytest.mark.parametrize("lane", [0, 3])
+def test_unbounded_lanes_stay_off_the_kernel(kernel, k, value, lane,
+                                             monkeypatch):
+    # a NaN, an infinity or 1e308 in the offset or any coefficient of the
+    # first or last lane fails that lane alone and never reaches the
+    # kernel, without a RuntimeWarning (made an error here), and the
+    # other lanes keep their bits
+    plan = quadrature.level_plan(tuple(np.linspace(0.2, 0.8, k)),
+                                 QuadratureSpec(nodes_per_level=16))
+    rng = np.random.default_rng(120 + k)
+    offset, coeffs = rng.normal(size=4), rng.uniform(0.2, 1.2, (4, k + 1))
+    fn = getattr(quadrature, kernel)
+    want, _ = fn(plan, offset, coeffs)
+    seen = []
+    nested = quadrature._nested
+
+    def spy(plan, offset, coeffs, moments):
+        seen.append(np.abs(np.r_[offset, coeffs.ravel()]).max())
+        return nested(plan, offset, coeffs, moments)
+
+    monkeypatch.setattr(quadrature, "_nested", spy)
+    others = [i for i in range(4) if i != lane]
+    for column in range(k + 2):         # the offset, then each coefficient
+        bad_offset, bad_coeffs = offset.copy(), coeffs.copy()
+        if column == 0:
+            bad_offset[lane] = value
+        else:
+            bad_coeffs[lane, column - 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got, failed = fn(plan, bad_offset, bad_coeffs)
+        assert list(failed) == [lane]
+        assert isinstance(failed[lane], NonFiniteIntegrand)
+        assert np.isnan(got[lane]).all()
+        assert got[others].tobytes() == want[others].tobytes()
+    assert len(seen) >= k + 2 and max(seen) < 10.0
 
 
 def _model_fields(rng, count, k):

@@ -315,6 +315,50 @@ def test_default_starts_depth_matches():
         assert s.thetas == (0.3, 0.6)
 
 
+def _linspace_starts(model, params, k):
+    """The plateaus of the default starts as ``np.linspace`` spaced them
+    under a plain cap of 0.97, which the pattern-model floor passes at
+    beta > 50/3."""
+    floor = 0.0
+    if model == "hopfield" and params.beta > 0.5:
+        floor = 1.0 - 0.5 / params.beta
+    return [np.linspace(max(0.55, floor), min(max(0.9, floor + 0.1), 0.97),
+                        k + 1),
+            np.linspace(max(0.01, floor), min(max(0.15, floor + 0.1), 0.97),
+                        k + 1)]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_default_starts_keep_their_bits_where_they_were_ordered(k):
+    thetas = tuple(np.linspace(0.2, 0.8, k))
+    points = [("sk", SkParams(beta=b)) for b in (0.3, 1.0, 2.5, 30.0)] + [
+        ("hopfield", HopfieldParams(beta=float(b), alpha=0.05))
+        for b in np.r_[np.linspace(0.2, 50.0 / 3.0, 41), 17.0, 20.0]]
+    compared = 0
+    for model, params in points:
+        starts = default_starts(model, params, k, thetas)
+        for start, want in zip(starts, _linspace_starts(model, params, k)):
+            if k == 0 or (np.diff(want) > 0.0).all():
+                assert np.array(start.qs).tobytes() == want.tobytes()
+                compared += 1
+    assert compared >= 2 * 45 if k == 0 else compared >= 2 * 40
+
+
+@pytest.mark.parametrize("beta", [20.0, 40.0])
+@pytest.mark.parametrize("k", [1, 2])
+def test_cold_pattern_model_starts_are_ordered(beta, k):
+    # the floor 1 - 0.5/beta passes 0.97 above beta = 50/3: the starts
+    # stay non-decreasing, within [floor, 1] and distinct, and solve
+    params = HopfieldParams(beta=beta, alpha=0.05)
+    floor = 1.0 - 0.5 / beta
+    thetas = tuple(np.linspace(0.3, 0.6, k))
+    for start in default_starts("hopfield", params, k, thetas):
+        assert floor <= start.qs[0] and start.qs[-1] <= 1.0
+        assert all(lo < hi for lo, hi in zip(start.qs, start.qs[1:]))
+    reports = solve_model("hopfield", params, k, thetas)
+    assert reports[0].converged and reports[0].ansatz.m > 0.99
+
+
 def test_single_start_override():
     params = SkParams(beta=1.6, j0=0.0, j=1.0)
     start = RsbAnsatz(k=0, m=0.0, qs=(0.2,))
@@ -618,7 +662,7 @@ def _damped_transcription(f, x, damping, tol=1e-10, max_iter=20000):
 @pytest.mark.parametrize("f,x0,damping,max_iter", [
     (lambda x: 1.0 - x, 0.2, 1.0, 20000),             # one halving
     (lambda x: 3.99 * x * (1.0 - x), 0.3, 1.0, 4000),  # chaotic at first
-    (lambda x: -1.9 * x + 0.3, 0.2, 0.9, 3000),        # down to the floor
+    (lambda x: -1.9 * x + 0.3, 0.2, 0.9, 3000),        # diverges until halved
 ])
 def test_damping_halves_as_the_one_lane_loop(f, x0, damping, max_iter):
     x, iterations, history = _damped_transcription(f, x0, damping,
@@ -628,6 +672,40 @@ def test_damping_halves_as_the_one_lane_loop(f, x0, damping, max_iter):
     assert rep.iterations == iterations
     assert rep.residual_history == tuple(history)
     assert np.float64(rep.ansatz).tobytes() == np.float64(x).tobytes()
+
+
+# one block of scalar lanes: one halving after two others have left, a
+# NaN at the fifth step, chaotic at first, fast, a residual that never
+# improves (down to the damping floor, then the cap), and a divergence
+# that one halving turns round
+_BLOCK_LANES = [
+    (lambda x: 1.0 - x, 0.2),
+    (lambda x: x - 0.15 if x > 0.0 else math.nan, 0.5),
+    (lambda x: 3.99 * x * (1.0 - x), 0.3),
+    (lambda x: 0.5 * x + 0.1, 0.9),
+    (lambda x: x + 1.0, 0.0),
+    (lambda x: -1.9 * x + 0.3, 0.2),
+]
+
+
+def test_block_lanes_damp_as_the_one_lane_loop():
+    maps = [f for f, _ in _BLOCK_LANES]
+
+    def step(lanes, x):
+        return np.array([[maps[i](v)] for i, v in
+                         zip(lanes.tolist(), x[:, 0].tolist())]), {}
+
+    opts = SolverOptions(damping=1.0, max_iter=2000)
+    reps = rsbsolve.solver._iterate(
+        step, np.array([[x0] for _, x0 in _BLOCK_LANES]), opts)
+    assert [r.iterations for r in reps] == [302, 5, 436, 33, 2000, 570]
+    for rep, (f, x0) in zip(reps, _BLOCK_LANES):
+        x, iterations, history = _damped_transcription(f, x0, 1.0,
+                                                       max_iter=2000)
+        assert rep.iterations == iterations
+        assert np.array(rep.residual_history).tobytes() == \
+            np.array(history).tobytes()
+        assert rep.ansatz.tobytes() == np.array([x]).tobytes()
 
 
 def _admissible_rows(rng, n, width):

@@ -21,8 +21,12 @@ counts of one seed-0 pass of ``rs_sweep`` and ``rsb_solve`` per side:
 map calls and lane-steps, counted in-process by a wrapper on
 ``rsbsolve.sk.plan_moments`` and ``rsbsolve.hopfield.plan_moments``
 (every map application calls one of them once, with one row per
-running lane).  ``--merge`` keeps the workloads of an existing file
-that this run does not measure.
+running lane).  Under ``layers`` it also keeps per-layer timings of each
+side, run in alternating rounds: the median us of one block map
+application of each model at k=0 on 80 nodes (1 and 16 lanes), k=1 on
+80 nodes and k=2 on 24 nodes (2 lanes), and of one iteration of the
+damped loop on a k=0 pairwise row of 16 lanes.  ``--merge`` keeps the
+workloads of an existing file that this run does not measure.
 """
 
 import argparse
@@ -103,6 +107,56 @@ print(json.dumps(out))
 """
 COUNTED = ("rs_sweep", "rsb_solve")
 
+# per-layer timings in a fresh interpreter at the checkout's root: the
+# median us of one block map application (model, k, nodes, lanes) and
+# of one iteration of the damped loop on a k=0 block of 16 lanes, over
+# ``repeats`` timed batches of about 20 ms each; prints JSON
+_LAYERS = r"""
+import json, statistics, sys, timeit
+sys.path.insert(0, "perfbench")
+import package
+package.pin_allocator()
+rsb = package.load(with_cli=False)
+import numpy as np
+repeats = int(sys.argv[1])
+POINTS = {"sk": rsb.core.SkParams(beta=1.5, j0=0.5),
+          "hopfield": rsb.core.HopfieldParams(beta=1.5, alpha=0.05)}
+
+def block(model, k, nodes, lanes):
+    mod, params = getattr(rsb, model), POINTS[model]
+    thetas = tuple(np.linspace(0.3, 0.6, k).tolist())
+    plan = rsb.quadrature.level_plan(
+        thetas, rsb.core.QuadratureSpec(nodes_per_level=nodes))
+    starts = rsb.solver.default_starts(model, params, k, thetas)
+    x = np.asfortranarray([(s.m,) + s.qs for s in starts] * lanes)[:lanes]
+    consts = mod._lanes([params] * lanes)
+    return lambda: mod._sce_step(consts, plan, x)
+
+def median_us(fn, per=1):
+    number = max(1, int(0.02 / min(timeit.repeat(fn, number=1, repeat=3))))
+    runs = timeit.repeat(fn, number=number, repeat=repeats)
+    return statistics.median(runs) / number / per * 1e6
+
+out = {}
+for model in ("sk", "hopfield"):
+    for k, nodes, lanes in ((0, 80, 1), (0, 80, 16), (1, 80, 2), (2, 24, 2)):
+        out["map_us.%s.k%dn%d.lanes%d" % (model, k, nodes, lanes)] = \
+            median_us(block(model, k, nodes, lanes))
+# a pairwise row at beta=1.9 as the k=0 sweep iterates it, run for a
+# fixed number of iterations at a tolerance no lane reaches
+params = [rsb.core.SkParams(beta=1.9, j0=j) for j in np.linspace(0.0, 1.4, 8)]
+plan = rsb.quadrature.level_plan((), rsb.core.QuadratureSpec(nodes_per_level=80))
+x0 = np.array([(s.m,) + s.qs for p in params
+               for s in rsb.solver.default_starts("sk", p, 0)])
+consts = rsb.sk._lanes([p for p in params for _ in range(2)])
+opts = rsb.solver.SolverOptions(tol=1e-300, max_iter=400)
+loop = lambda: rsb.solver._iterate(
+    lambda c, x: rsb.sk._sce_step(c, plan, x), x0, opts, consts)
+iterations = max(r.iterations for r in loop())
+out["iterate_us.sk.k0n80.lanes16"] = median_us(loop, iterations)
+print(json.dumps(out))
+"""
+
 
 def _counts(root):
     """Map calls and lane-steps of one seed-0 pass per counted workload
@@ -112,6 +166,30 @@ def _counts(root):
     if proc.returncode != 0:
         raise SystemExit("counting on %s failed:\n%s" % (root, proc.stderr))
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+LAYER_ROUNDS, LAYER_REPEATS = 4, 9
+
+
+def _layers(sides):
+    """Per side and layer, the median over ``LAYER_ROUNDS`` alternating
+    rounds of the per-round median us."""
+    # one BLAS thread, as perfbench/run.py sets before numpy loads
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    rounds = {side: [] for side in sides}
+    for r in range(LAYER_ROUNDS):
+        for side in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
+            proc = subprocess.run([sys.executable, "-c", _LAYERS,
+                                   str(LAYER_REPEATS)], cwd=sides[side],
+                                  env=env, capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise SystemExit("layer timings on %s failed:\n%s"
+                                 % (sides[side], proc.stderr))
+            rounds[side].append(json.loads(proc.stdout.strip()
+                                           .splitlines()[-1]))
+    return {side: {name: statistics.median(run[name] for run in runs)
+                   for name in runs[0]} for side, runs in rounds.items()}
 
 
 def _tier1(root):
@@ -199,6 +277,8 @@ def main(argv=None):
     record["counts"] = {side: _counts(root) for side, root in sides.items()}
     record["counts"]["identical"] = (record["counts"]["parent"]
                                      == record["counts"]["change"])
+    record["layers"] = dict(_layers(sides), unit="us", rounds=LAYER_ROUNDS,
+                            repeats=LAYER_REPEATS)
     for workload in workloads:
         runs = {"parent": [], "change": []}
         for rep in range(args.repeats):
