@@ -67,9 +67,12 @@ def _cascade(beta, q, th):
     return qd, ps[0] if k == 0 else np.concatenate(ps, axis=1), failed
 
 
-def _one_cascade(beta, ansatz):
-    """``_cascade`` of one admissible trial point; raises on divergence."""
-    qd, ps, failed = _cascade(np.array([beta]), np.array([ansatz.qs]),
+def _one_cascade(params, ansatz):
+    """``_cascade`` of one admissible trial point at the real inverse
+    temperature, whatever the load; raises on divergence."""
+    if not isinstance(params, HopfieldParams):
+        raise TypeError("params must be HopfieldParams")
+    qd, ps, failed = _cascade(np.array([params.beta]), np.array([ansatz.qs]),
                               ansatz.thetas)
     if failed:
         raise failed[0]
@@ -85,7 +88,7 @@ def hop_q_denominators(params, ansatz):
     that case.
     """
     a = validate_ansatz(ansatz)
-    return QDenominators(values=tuple(_one_cascade(params.beta, a)[0].tolist()))
+    return QDenominators(values=tuple(_one_cascade(params, a)[0].tolist()))
 
 
 def hop_p_closed_form(params, ansatz):
@@ -95,7 +98,7 @@ def hop_p_closed_form(params, ansatz):
     beta (q_a - q_{a-1}) / (Q_a Q_{a-1}).
     """
     a = validate_ansatz(ansatz)
-    return tuple(_one_cascade(params.beta, a)[1].tolist())
+    return tuple(_one_cascade(params, a)[1].tolist())
 
 
 def _field_coeffs(alpha_beta, ps):
@@ -113,23 +116,19 @@ def _pressure_block(lanes, plan, x, ps=None):
     """Pressures, their terms and a dict from row to each failed lane's
     ``DomainError`` or ``NonFiniteIntegrand`` for a block of admissible
     flat vectors, as ``_sce_step`` takes them (conjugates from ``ps``
-    or their closed form).  A lane at zero load takes unit denominators
-    and zero conjugates, so its load terms are signed zeros.  Each term
-    keeps the one-point formula's operation order and ``math.log``
-    (``np.log`` rounds differently): a lane's pressure is bit for bit a
-    block of one's.
+    or their closed form at each lane's response coupling).  A lane at
+    zero load has unit denominators, zero conjugates and alpha/2 = 0, so
+    its load terms are signed zeros.  Each term keeps the one-point formula's
+    operation order and ``math.log`` (``np.log`` rounds differently): a
+    lane's pressure is bit for bit a block of one's.
     """
     beta, alpha = lanes[:, 0], lanes[:, 1]
     m, q = x[:, 0], x[:, 1:]
     th = plan.thetas
     k = len(th)
-    qd, conj, failed = _cascade(beta, q, th)
+    qd, conj, failed = _cascade(lanes[:, 3], q, th)
     if ps is not None:
         conj = np.array(ps, dtype=float)
-    free = [i for i, a in enumerate(alpha.tolist()) if a == 0.0]
-    if free:
-        failed = {i: exc for i, exc in failed.items() if i not in free}
-        qd[free], conj[free] = 1.0, 0.0
     half = 0.5 * alpha
     tower, mix = np.zeros(len(x)), np.zeros(len(x))
     for i in range(k):
@@ -160,24 +159,19 @@ def hop_pressure_krsb(params, ansatz, spec=None):
     """Hierarchical trial pressure at a depth-k ansatz.
 
     When ``ansatz.ps`` is None the conjugate plateaus are filled from
-    their closed form.  At zero storage load the pattern layer is absent
-    and the value reduces exactly to the one-body ferromagnet.  This is
+    their closed form.  At zero storage load the pattern layer is absent:
+    the load terms are signed zeros and the value is the one-body
+    ferromagnet's, its field term on the rule.  This is
     ``_pressure_block`` on a block of one.
     """
-    if not isinstance(params, HopfieldParams):
-        raise TypeError("params must be HopfieldParams")
     a = validate_ansatz(ansatz)
     pressure, terms, failed = _pressure_block(
         _lanes([params]), level_plan(a.thetas, spec), np.array([(a.m,) + a.qs]),
         None if a.ps is None else [a.ps])
     if failed:
         raise failed[0]
-    terms = {name: float(v[0]) for name, v in terms.items()}
-    if params.alpha == 0.0:         # the one-body value, a plain float
-        return Evaluation(pressure=float(pressure[0]), terms={
-            "field": terms["field"], "load_terms": 0.0,
-            "bias_source": terms["bias_source"]})
-    return Evaluation(pressure=pressure[0], terms=terms)
+    return Evaluation(pressure=pressure[0],
+                      terms={name: float(v[0]) for name, v in terms.items()})
 
 
 def hop_pressure_rs(params, m, q, p=None, spec=None):
@@ -197,48 +191,38 @@ def hop_sce_rs(params, m, q, spec=None):
 
 
 def _lanes(params_seq):
-    """Per-lane map constants (beta, alpha, alpha beta) of a block of
-    points, column-major, and in every row the number of zero-load
-    points of the block: rows only ever leave a block, so a block whose
-    first row counts none has no zero-load lane."""
-    zero = sum(p.alpha == 0.0 for p in params_seq)
-    return np.array([(p.beta, p.alpha, p.alpha * p.beta, zero)
-                     for p in params_seq], dtype=float, order="F")
+    """Per-lane map constants (beta, alpha, alpha beta, g) of a block of
+    points, column-major.  g is the response coupling of the cascade:
+    beta, or 0 at zero load, where there is no pattern layer, so the
+    denominators are 1 and the conjugates and field coefficients 0."""
+    if not all(isinstance(p, HopfieldParams) for p in params_seq):
+        raise TypeError("params must be HopfieldParams")
+    return np.array([(p.beta, p.alpha, p.alpha * p.beta,
+                      p.beta if p.alpha else 0.0) for p in params_seq],
+                    dtype=float, order="F")
 
 
 def _sce_step(lanes, plan, x, ps=None):
     """The self-consistency map on a block of flat vectors
     [m, q_1..q_{k+1}] of admissible points, one row per lane, with
     per-lane constants from ``_lanes`` and the exponents fixed by
-    ``plan`` (None if every lane is at zero load).  Field coefficients
-    come from the rows of ``ps`` when given, else from ``_cascade``.
+    ``plan``.  Field coefficients come from the rows of ``ps`` when
+    given, else from ``_cascade`` at each lane's response coupling.
 
     Returns the mapped block and a dict from row to the ``DomainError``
     of that lane's cascade or the ``NonFiniteIntegrand`` of its field
-    (its row is NaN).  Zero-load lanes keep ``math.tanh`` (``np.tanh``
-    rounds differently) and enter the kernel with zero conjugates; a
-    block is scanned for them only if its count of them is not zero.
+    (its row is NaN).  A zero-load lane's field coefficients are zero,
+    so its row is the one-body map m = tanh(beta m), q_a = m^2 on the
+    rule: a few ulp off ``math.tanh`` (at most 3 in m and 6 in q on 80
+    nodes).
     """
-    beta = lanes[:, 0]
-    free = []
-    if len(lanes) and lanes[0, 3]:
-        free = [i for i, a in enumerate(lanes[:, 1].tolist()) if a == 0.0]
-    out, failed = np.empty(x.shape), {}
-    if len(free) < len(x):
-        if ps is None:
-            _, ps, failed = _cascade(beta, x[:, 1:], plan.thetas)
-        if free:
-            ps = np.array(ps, dtype=float)
-            ps[free] = 0.0
-        out, bad = plan_moments(plan, beta * x[:, 0],
-                                _field_coeffs(lanes[:, 2:3], ps))
-        bad.update(failed)
-        failed = {i: exc for i, exc in bad.items() if i not in free}
-    for i in free:
-        m = math.tanh(beta[i] * x[i, 0])
-        out[i] = m * m
-        out[i, 0] = m
-    return out, failed
+    failed = {}
+    if ps is None:
+        _, ps, failed = _cascade(lanes[:, 3], x[:, 1:], plan.thetas)
+    out, bad = plan_moments(plan, lanes[:, 0] * x[:, 0],
+                            _field_coeffs(lanes[:, 2:3], ps))
+    bad.update(failed)
+    return out, bad
 
 
 def hop_sce_krsb(params, ansatz, spec=None):
@@ -253,9 +237,8 @@ def hop_sce_krsb(params, ansatz, spec=None):
     on raw map output.
     """
     a = validate_ansatz(ansatz)
-    # zero load needs no plan, so its exponents skip the quadrature floor
-    plan = level_plan(a.thetas, spec) if params.alpha != 0.0 else None
-    x, failed = _sce_step(_lanes([params]), plan, np.array([(a.m,) + a.qs]),
+    x, failed = _sce_step(_lanes([params]), level_plan(a.thetas, spec),
+                          np.array([(a.m,) + a.qs]),
                           None if a.ps is None else [a.ps])
     if failed:
         raise failed[0]

@@ -654,10 +654,9 @@ class _HopRsSample:
 
 def interpolation_derivative_check(model, target, point, params, n,
                                    samples=1000, seed=0, thetas=(),
-                                   inner_samples=256, step=1e-3,
-                                   richardson=True, p=None):
-    """Central finite difference of the interpolating pressure against
-    its algebraic derivative bracket, with common random numbers.
+                                   inner_samples=256, step=1e-3, p=None):
+    """Richardson central difference of the interpolating pressure
+    against its algebraic derivative bracket, with common random numbers.
 
     The difference is evaluated per disorder sample and aggregated, so
     the reported stderr reflects exactly the statistical content of the
@@ -671,6 +670,8 @@ def interpolation_derivative_check(model, target, point, params, n,
         raise RangeViolation("step must be positive and finite, got %r" % step)
     thetas = tuple(float(v) for v in thetas)
     if model == "sk":
+        if not isinstance(params, SkParams):
+            raise TypeError("params must be SkParams")
         if len(thetas) > 1:
             raise RangeViolation("pairwise checks support zero or one exponent")
         if thetas and not 0.0 < thetas[0] <= 1.0:
@@ -679,6 +680,8 @@ def interpolation_derivative_check(model, target, point, params, n,
         cls = _Sk1rsbSample if thetas else _SkRsSample
         extra = (thetas[0], inner_samples) if thetas else ()
     elif model == "hopfield":
+        if not isinstance(params, HopfieldParams):
+            raise TypeError("params must be HopfieldParams")
         if thetas:
             raise RangeViolation("pattern checks support the flat level only")
         cls, extra = _HopRsSample, (p,)
@@ -700,10 +703,8 @@ def interpolation_derivative_check(model, target, point, params, n,
         smp = cls(params, n, rngs, *extra)
         f = lambda v: smp.value(**{**at, target: v})
         fd = (f(v0 + delta) - f(v0 - delta)) / (2.0 * delta)
-        if richardson:
-            d2 = (f(v0 + 0.5 * delta) - f(v0 - 0.5 * delta)) / delta
-            fd = (4.0 * d2 - fd) / 3.0
-        fds.append(fd)
+        d2 = (f(v0 + 0.5 * delta) - f(v0 - 0.5 * delta)) / delta
+        fds.append((4.0 * d2 - fd) / 3.0)
         brs.append(smp.brackets(**at)[target])
     fds, brs = np.concatenate(fds), np.concatenate(brs)
     fd = float(np.mean(fds))

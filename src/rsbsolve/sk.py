@@ -21,6 +21,8 @@ from .quadrature import level_plan, plan_log_cosh, plan_moments
 def _lanes(params_seq):
     """Per-lane constants (beta j0, beta j, beta, j0) of a block of
     points, column-major; the map reads the first two."""
+    if not all(isinstance(p, SkParams) for p in params_seq):
+        raise TypeError("params must be SkParams")
     return np.array([(p.beta * p.j0, p.beta * p.j, p.beta, p.j0)
                      for p in params_seq], dtype=float, order="F")
 
@@ -79,8 +81,6 @@ def sk_pressure_krsb(params, ansatz, spec=None):
     kernel, so at zero coupling the value is exactly log 2.  This is
     ``_pressure_block`` on a block of one.
     """
-    if not isinstance(params, SkParams):
-        raise TypeError("params must be SkParams")
     a = validate_ansatz(ansatz)
     pressure, terms, failed = _pressure_block(
         _lanes([params]), level_plan(a.thetas, spec),

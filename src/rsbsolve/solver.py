@@ -23,7 +23,6 @@ from .core import (
     BracketViolation,
     DomainError,
     OrderingViolation,
-    QuadratureSpec,
     RangeViolation,
     RsbAnsatz,
     ShapeMismatch,
@@ -387,7 +386,6 @@ def solve_grid(model, params_seq, k=0, thetas=(), spec=None, options=None,
     other exponents than the call's raises ``ShapeMismatch``.
     """
     opts = _DEFAULT_OPTIONS if options is None else options
-    spec = spec if spec is not None else QuadratureSpec()
     thetas = tuple(float(t) for t in thetas)
     if len(thetas) != k:
         raise RangeViolation("need %d exponents for depth %d, got %d"
@@ -411,7 +409,7 @@ def solve_grid(model, params_seq, k=0, thetas=(), spec=None, options=None,
                              % model)
     step, _, constants = _BLOCKS[model]
     plan = level_plan(thetas, spec)
-    size = max(1, spec.max_tensor_points // plan.points)
+    size = max(1, plan.spec.max_tensor_points // plan.points)
     out = [[] for _ in points]
     for b in range(0, len(lanes), size):
         block = lanes[b:b + size]
@@ -419,8 +417,8 @@ def solve_grid(model, params_seq, k=0, thetas=(), spec=None, options=None,
         consts = constants(params)
         x0 = np.array([row for _, _, row in block])
         reps = _iterate(lambda c, x: step(c, plan, x), x0, opts, consts)
-        reps = _finish(model, params, plan, consts,
-                       [index for _, index, _ in block], reps)
+        reps = _finish(model, plan, consts, [index for _, index, _ in block],
+                       reps)
         for (p, _, _), rep in zip(block, reps):
             out[p].append(rep)
     for reports in out:
@@ -436,14 +434,13 @@ _STEP = 1e-5
 _STATIONARY = 1e-5
 
 
-def _finish(model, params, plan, consts, indices, reps):
+def _finish(model, plan, consts, indices, reps):
     """Pressure, stationarity and closed-form conjugates of a block of
-    iterated lanes, as ``solve_grid`` reports them; ``params``,
-    ``consts`` and ``indices`` hold each lane's point, constants and
-    start index.  Only converged lanes get a pressure and a
-    stationarity.  The reported ``ps`` are the closed-form conjugates of
-    the endpoint (pattern model at alpha > 0, else None), never a
-    start's.  The pressures and every stencil of ``_gradient`` are block
+    iterated lanes, as ``solve_grid`` reports them; ``consts`` and
+    ``indices`` hold each lane's constants and start index.  Only
+    converged lanes get a pressure and a stationarity.  The reported
+    ``ps`` are the closed-form conjugates of the endpoint (pattern model
+    at alpha > 0, else None), never a start's.  The pressures and every stencil of ``_gradient`` are block
     pressure calls, each row bit for bit the public pressure, so every
     number is that of ``stationarity_check`` on the lane.  ``stationary``
     flags a gradient within 1e-5.
@@ -465,9 +462,10 @@ def _finish(model, params, plan, consts, indices, reps):
                                        _STEP)).max(axis=1)
     conj = {}
     if model == "hopfield":
-        _, ps, failed = _hop._cascade(consts[:, 0], x[:, 1:], plan.thetas)
-        conj = {i: tuple(ps[i].tolist()) for i, p in enumerate(params)
-                if p.alpha > 0.0 and i not in failed}
+        _, ps, failed = _hop._cascade(consts[:, 3], x[:, 1:], plan.thetas)
+        conj = {i: tuple(ps[i].tolist()) for i, alpha in
+                enumerate(consts[:, 1].tolist())
+                if alpha > 0.0 and i not in failed}
     out = []
     k, nodes, rows = len(plan.thetas), len(plan.nodes[0]), x.tolist()
     for i, (index, rep) in enumerate(zip(indices, reps)):
@@ -475,8 +473,6 @@ def _finish(model, params, plan, consts, indices, reps):
                            thetas=plan.thetas, ps=conj.get(i))
         error = errors.get(i, rep.error)
         p = pressure[i] if rep.converged and error is None else None
-        if p is not None and model == "hopfield" and params[i].alpha == 0.0:
-            p = float(p)            # the one-body value is a plain float
         stat = None if math.isnan(grads[i]) else float(grads[i])
         out.append(SolveReport(
             ansatz=ansatz, residual=rep.residual, iterations=rep.iterations,
@@ -517,7 +513,6 @@ def _dedupe(reports, tol=1e-7):
     for rep in reports:
         a = rep.ansatz
         if not any(rep.converged and other.converged
-                   and isinstance(a, RsbAnsatz)
                    and max(abs(u - v) for u, v in
                            zip((a.m,) + a.qs,
                                (other.ansatz.m,) + other.ansatz.qs)) < tol

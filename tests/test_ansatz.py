@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rsbsolve import (
     HopfieldParams,
+    InterpolationPoint,
     OrderingViolation,
     QuadratureSpec,
     RangeViolation,
@@ -17,8 +18,15 @@ from rsbsolve import (
     ShapeMismatch,
     SkParams,
     THETA_FLOOR,
+    extremize_theta,
+    hop_p_closed_form,
     hop_pressure_krsb,
+    hop_q_denominators,
+    hop_sce_rs,
+    interpolation_derivative_check,
     sk_pressure_krsb,
+    sk_sce_rs,
+    solve_model,
     validate_ansatz,
 )
 
@@ -123,6 +131,41 @@ def test_params_validation():
         SkParams(beta=-0.5, j0=0.0, j=1.0)
     with pytest.raises(RangeViolation):
         HopfieldParams(beta=1.0, alpha=-0.01)
+
+
+_SK = SkParams(beta=1.2, j0=0.3)
+_HOP = HopfieldParams(beta=1.2, alpha=0.05)
+_FLAT = RsbAnsatz(k=0, m=0.3, qs=(0.5,))
+_POINT = InterpolationPoint(t=0.5, x=(0.4,), y=(0.6,), z=0.3, w=0.3)
+
+
+@pytest.mark.parametrize("call,want", [
+    pytest.param(lambda: solve_model("sk", _HOP), "SkParams", id="solve-sk"),
+    pytest.param(lambda: solve_model("hopfield", _SK), "HopfieldParams",
+                 id="solve-hopfield"),
+    pytest.param(lambda: extremize_theta("sk", _HOP, 1), "SkParams",
+                 id="extremize"),
+    pytest.param(lambda: sk_sce_rs(_HOP, 0.3, 0.5), "SkParams", id="sk-map"),
+    pytest.param(lambda: hop_sce_rs(_SK, 0.3, 0.5), "HopfieldParams",
+                 id="hop-map"),
+    pytest.param(lambda: sk_pressure_krsb(_HOP, _FLAT), "SkParams",
+                 id="sk-pressure"),
+    pytest.param(lambda: hop_pressure_krsb(_SK, _FLAT), "HopfieldParams",
+                 id="hop-pressure"),
+    pytest.param(lambda: hop_q_denominators(_SK, _FLAT), "HopfieldParams",
+                 id="denominators"),
+    pytest.param(lambda: hop_p_closed_form(_SK, _FLAT), "HopfieldParams",
+                 id="conjugates"),
+    pytest.param(lambda: interpolation_derivative_check(
+        "sk", "t", _POINT, _HOP, n=4, samples=2), "SkParams",
+        id="interpolation-sk"),
+    pytest.param(lambda: interpolation_derivative_check(
+        "hopfield", "t", _POINT, _SK, n=4, samples=2), "HopfieldParams",
+        id="interpolation-hopfield"),
+])
+def test_params_of_another_model_raise_type_error(call, want):
+    with pytest.raises(TypeError, match="^params must be %s$" % want):
+        call()
 
 
 @st.composite

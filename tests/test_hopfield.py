@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from rsbsolve import (
     HopfieldParams,
     QuadratureSpec,
+    RangeViolation,
     RsbAnsatz,
     SusceptibilityDivergence,
+    THETA_FLOOR,
     hop_p_closed_form,
     hop_pressure_krsb,
     hop_pressure_rs,
@@ -96,6 +98,19 @@ def test_zero_load_is_one_body():
         want = (math.log(2.0) + math.log(math.cosh(params.beta * m))
                 - 0.5 * params.beta * m * m)
         assert ev.pressure == pytest.approx(want, abs=1e-14)
+
+
+def test_zero_load_exponents_meet_the_floor():
+    # the map and the pressure lay out one plan at every load, so an
+    # exponent under the quadrature floor fails both alike
+    params = HopfieldParams(beta=1.4, alpha=0.0)
+    a = RsbAnsatz(k=1, m=0.3, qs=(0.4, 0.6), thetas=(THETA_FLOOR / 2,))
+    messages = []
+    for fn in (hop_sce_krsb, hop_pressure_krsb):
+        with pytest.raises(RangeViolation, match="below the") as exc:
+            fn(params, a)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
 
 
 def test_infinite_temperature_pressure():

@@ -256,16 +256,12 @@ def test_state_trace_golden():
 
 _SK = SkParams(beta=1.0, j0=0.8, j=1.0)
 _HOP_POINT = InterpolationPoint(t=0.4, x=(0.3,), y=(0.5,), z=0.2, w=0.1)
-# checks spanning several sample blocks (SK n=8: 16 per block; Hopfield
+# checks spanning several sample blocks (SK n=6: 85 per block; Hopfield
 # n=7: 32 per block), a one-hidden-unit model and a one-step check
 _BLOCK_GOLDENS = [
     (("sk", "t", InterpolationPoint(t=0.5, x=(0.4,), w=0.3), _SK),
      dict(n=6, samples=150, seed=4),
      "DerivativeCheck(fd_lhs=0.2805186921526442, bracket_rhs=0.2800889904915122, abs_diff=0.000429701661131956, rel_diff=0.001531811152527882, stderr=0.0102834168356598)"),
-    (("sk", "x", InterpolationPoint(t=0.3, x=(0.2,), w=0.1),
-      SkParams(beta=0.9, j0=0.5, j=1.1)),
-     dict(n=8, samples=40, seed=5, richardson=False),
-     "DerivativeCheck(fd_lhs=0.3259778829617102, bracket_rhs=0.3501623850231733, abs_diff=0.024184502061463133, rel_diff=0.06906653340238882, stderr=0.037006899241986066)"),
     (("hopfield", "y", InterpolationPoint(t=0.5, x=(0.5,), y=(0.6,), z=0.3, w=0.3),
       HopfieldParams(beta=0.6, alpha=0.5)),
      dict(n=6, samples=150, seed=4, p=3),
@@ -284,7 +280,7 @@ _BLOCK_GOLDENS = [
 
 
 @pytest.mark.parametrize("args,kw,expected", _BLOCK_GOLDENS,
-                         ids=["sk-t", "sk-x-n8", "hopfield-y", "hopfield-t-p7",
+                         ids=["sk-t", "hopfield-y", "hopfield-t-p7",
                               "hopfield-z-p2", "1rsb-x2"])
 def test_interpolation_block_golden(args, kw, expected):
     assert repr(interpolation_derivative_check(*args, **kw)) == expected
