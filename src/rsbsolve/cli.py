@@ -244,6 +244,8 @@ def sweep(model, beta, j0, j, alpha, k, thetas, nodes, damping, tol, max_iter,
     params, spec, options = _setup(model, beta, j0, j, alpha, k, thetas,
                                    nodes, damping, tol, max_iter, axes)
     parsed = [_parse_axis(a, model) for a in axes]
+    if len({name for name, _ in parsed}) < len(parsed):
+        raise click.UsageError("sweep axis %r given twice" % parsed[0][0])
     points = [{}]
     for name, values in parsed:
         points = [dict(pt, **{name: v}) for pt in points for v in values]

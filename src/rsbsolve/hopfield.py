@@ -24,7 +24,7 @@ from .core import (
     SusceptibilityDivergence,
     validate_ansatz,
 )
-from .quadrature import level_plan, plan_log_cosh, plan_moments
+from .quadrature import _one_lane, level_plan, plan_log_cosh, plan_moments
 
 
 @dataclass(frozen=True)
@@ -68,14 +68,11 @@ def _cascade(beta, q, th):
 
 
 def _one_cascade(params, ansatz):
-    """``_cascade`` of one admissible trial point at the real inverse
-    temperature, whatever the load; raises on divergence."""
-    if not isinstance(params, HopfieldParams):
-        raise TypeError("params must be HopfieldParams")
-    qd, ps, failed = _cascade(np.array([params.beta]), np.array([ansatz.qs]),
-                              ansatz.thetas)
-    if failed:
-        raise failed[0]
+    """``_cascade`` of one trial point at its lane's response coupling;
+    raises on an inadmissible point or a divergence."""
+    a = validate_ansatz(ansatz)
+    qd, ps = _one_lane(_cascade, _lanes([params])[:, 3], np.array([a.qs]),
+                       a.thetas)
     return qd[0], ps[0]
 
 
@@ -83,22 +80,21 @@ def hop_q_denominators(params, ansatz):
     """Cascade of response denominators for a depth-k ansatz.
 
     Built top down: the innermost value is 1 - beta*(1 - q_{k+1}) and
-    each step outward subtracts beta * theta_a * (q_{a+1} - q_a).  Any
-    non-positive value raises; this function never returns a number in
-    that case.
+    each step outward subtracts beta * theta_a * (q_{a+1} - q_a), beta
+    being the response coupling: at zero load it is 0 and every value
+    is 1.0.  Any non-positive value raises; this function never returns
+    a number in that case.
     """
-    a = validate_ansatz(ansatz)
-    return QDenominators(values=tuple(_one_cascade(params, a)[0].tolist()))
+    return QDenominators(values=tuple(_one_cascade(params, ansatz)[0].tolist()))
 
 
 def hop_p_closed_form(params, ansatz):
     """Conjugate plateaus slaved to the overlaps.
 
     p_1 = beta q_1 / Q_1^2 and each increment is
-    beta (q_a - q_{a-1}) / (Q_a Q_{a-1}).
+    beta (q_a - q_{a-1}) / (Q_a Q_{a-1}), all 0.0 at zero load.
     """
-    a = validate_ansatz(ansatz)
-    return tuple(_one_cascade(params, a)[1].tolist())
+    return tuple(_one_cascade(params, ansatz)[1].tolist())
 
 
 def _field_coeffs(alpha_beta, ps):
@@ -165,11 +161,9 @@ def hop_pressure_krsb(params, ansatz, spec=None):
     ``_pressure_block`` on a block of one.
     """
     a = validate_ansatz(ansatz)
-    pressure, terms, failed = _pressure_block(
-        _lanes([params]), level_plan(a.thetas, spec), np.array([(a.m,) + a.qs]),
-        None if a.ps is None else [a.ps])
-    if failed:
-        raise failed[0]
+    pressure, terms = _one_lane(
+        _pressure_block, _lanes([params]), level_plan(a.thetas, spec),
+        np.array([(a.m,) + a.qs]), None if a.ps is None else [a.ps])
     return Evaluation(pressure=pressure[0],
                       terms={name: float(v[0]) for name, v in terms.items()})
 
@@ -186,8 +180,7 @@ def hop_sce_rs(params, m, q, spec=None):
     (m', q', p') with the conjugate plateau evaluated at the new
     overlap (zero at zero load, where there is no pattern layer)."""
     nxt = hop_sce_krsb(params, RsbAnsatz(k=0, m=m, qs=(q,)), spec)
-    p = hop_p_closed_form(params, nxt)[0] if params.alpha > 0.0 else 0.0
-    return nxt.m, nxt.qs[0], p
+    return nxt.m, nxt.qs[0], hop_p_closed_form(params, nxt)[0]
 
 
 def _lanes(params_seq):
@@ -237,9 +230,7 @@ def hop_sce_krsb(params, ansatz, spec=None):
     on raw map output.
     """
     a = validate_ansatz(ansatz)
-    x, failed = _sce_step(_lanes([params]), level_plan(a.thetas, spec),
-                          np.array([(a.m,) + a.qs]),
-                          None if a.ps is None else [a.ps])
-    if failed:
-        raise failed[0]
+    x = _one_lane(_sce_step, _lanes([params]), level_plan(a.thetas, spec),
+                  np.array([(a.m,) + a.qs]),
+                  None if a.ps is None else [a.ps])[0]
     return replace(a, m=x[0, 0], qs=x[0, 1:], ps=None)

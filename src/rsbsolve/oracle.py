@@ -53,6 +53,7 @@ class HopfieldDisorderSample:
 
 
 def sk_disorder_sample(params, n, rng):
+    _check_params(SkParams, params)
     z = rng.standard_normal((n, n))
     zu = np.triu(z, 1)
     zs = zu + zu.T
@@ -62,6 +63,7 @@ def sk_disorder_sample(params, n, rng):
 
 
 def hopfield_disorder_sample(params, n, rng, p=None, boolean_patterns=False):
+    _check_params(HopfieldParams, params)
     if p is None:
         p = max(1, math.ceil(params.alpha * n))
     _at_least_one(p=p)
@@ -114,6 +116,11 @@ def _at_least_one(**counts):
         if count < 1:
             raise RangeViolation("%s must be at least 1, got %r"
                                  % (name, count))
+
+
+def _check_params(cls, params):
+    if not isinstance(params, cls):
+        raise TypeError("params must be %s" % cls.__name__)
 
 
 def _mean_se(values):
@@ -345,6 +352,8 @@ def metropolis_state_trace(params, n, sweeps, seed=0, couplings=None):
     Boltzmann weights."""
     if not 1 <= n <= 16:
         raise RangeViolation("state traces need n in [1, 16]")
+    _check_params(SkParams, params)
+    _at_least_one(sweeps=sweeps)
     if couplings is None:
         couplings = sk_disorder_sample(params, n, substream(seed, 3, 0)).matrix
     sigma = (substream(seed, 3, 1).integers(0, 2, size=n) * 2.0 - 1.0)
@@ -670,8 +679,7 @@ def interpolation_derivative_check(model, target, point, params, n,
         raise RangeViolation("step must be positive and finite, got %r" % step)
     thetas = tuple(float(v) for v in thetas)
     if model == "sk":
-        if not isinstance(params, SkParams):
-            raise TypeError("params must be SkParams")
+        _check_params(SkParams, params)
         if len(thetas) > 1:
             raise RangeViolation("pairwise checks support zero or one exponent")
         if thetas and not 0.0 < thetas[0] <= 1.0:
@@ -680,8 +688,7 @@ def interpolation_derivative_check(model, target, point, params, n,
         cls = _Sk1rsbSample if thetas else _SkRsSample
         extra = (thetas[0], inner_samples) if thetas else ()
     elif model == "hopfield":
-        if not isinstance(params, HopfieldParams):
-            raise TypeError("params must be HopfieldParams")
+        _check_params(HopfieldParams, params)
         if thetas:
             raise RangeViolation("pattern checks support the flat level only")
         cls, extra = _HopRsSample, (p,)

@@ -199,18 +199,6 @@ def _check_thetas(thetas):
     return thetas
 
 
-def _check_field(offset, coeffs, n_levels):
-    offset = float(offset)
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (n_levels,):
-        raise RangeViolation(
-            "need one field coefficient per level, got %r for %d levels"
-            % (list(np.atleast_1d(coeffs)), n_levels))
-    if not (math.isfinite(offset) and np.isfinite(coeffs).all()):
-        raise NonFiniteIntegrand("field offset or coefficients are not finite")
-    return offset, coeffs
-
-
 def _plan_levels(n_levels, spec):
     """Node count of every level: the largest n <= ``nodes_per_level``
     with n ** n_levels <= ``max_tensor_points``, checked in integers."""
@@ -698,10 +686,23 @@ def nested_moments(offset, coeffs, thetas=(), spec=None):
 
 
 def _block_of_one(kernel, offset, coeffs, thetas, spec):
-    """A plan kernel on a block of one checked field; raises its failure."""
+    """A plan kernel on a block of one field, one coefficient per level;
+    a non-finite field raises the kernel's ``NonFiniteIntegrand``."""
     plan = level_plan(thetas, spec)
-    offset, coeffs = _check_field(offset, coeffs, len(plan.nodes))
-    out, failed = kernel(plan, np.array([offset]), coeffs[None])
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (len(plan.nodes),):
+        raise RangeViolation(
+            "need one field coefficient per level, got %r for %d levels"
+            % (list(np.atleast_1d(coeffs)), len(plan.nodes)))
+    return _one_lane(kernel, plan, np.array([float(offset)]),
+                     coeffs[None])[0][0]
+
+
+def _one_lane(block, *args):
+    """The outputs of a block function, one whose last output is its
+    dict from row to failure, on the one-lane block ``args``; raises
+    the lane's failure."""
+    *out, failed = block(*args)
     if failed:
         raise failed[0]
-    return out[0]
+    return out

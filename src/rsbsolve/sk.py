@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from .core import Evaluation, RsbAnsatz, SkParams, validate_ansatz
-from .quadrature import level_plan, plan_log_cosh, plan_moments
+from .quadrature import _one_lane, level_plan, plan_log_cosh, plan_moments
 
 
 def _lanes(params_seq):
@@ -82,11 +82,9 @@ def sk_pressure_krsb(params, ansatz, spec=None):
     ``_pressure_block`` on a block of one.
     """
     a = validate_ansatz(ansatz)
-    pressure, terms, failed = _pressure_block(
-        _lanes([params]), level_plan(a.thetas, spec),
-        np.array([(a.m,) + a.qs]))
-    if failed:
-        raise failed[0]
+    pressure, terms = _one_lane(_pressure_block, _lanes([params]),
+                                level_plan(a.thetas, spec),
+                                np.array([(a.m,) + a.qs]))
     return Evaluation(pressure=pressure[0],
                       terms={name: float(v[0]) for name, v in terms.items()})
 
@@ -97,8 +95,6 @@ def sk_sce_krsb(params, ansatz, spec=None):
     The exponents are passed through untouched.
     """
     a = validate_ansatz(ansatz)
-    x, failed = _sce_step(_lanes([params]), level_plan(a.thetas, spec),
-                          np.array([(a.m,) + a.qs]))
-    if failed:
-        raise failed[0]
+    x = _one_lane(_sce_step, _lanes([params]), level_plan(a.thetas, spec),
+                  np.array([(a.m,) + a.qs]))[0]
     return replace(a, m=x[0, 0], qs=x[0, 1:])

@@ -221,19 +221,16 @@ def damped_fixed_point(f, x0, options=None):
     opts = _DEFAULT_OPTIONS if options is None else options
     if isinstance(x0, RsbAnsatz):
         vec = lambda x: _flatten(f(_unflatten(x, x0)))
-        rep = _iterate(_one_lane(vec), _flatten(x0)[None], opts)[0]
+        rep = _iterate(_lane_step(vec), _flatten(x0)[None], opts)[0]
         return replace(rep, ansatz=_unflatten(rep.ansatz, x0))
-    if np.ndim(x0) == 0:
-        vec = lambda x: np.atleast_1d(np.asarray(f(float(x[0])), dtype=float))
-        rep = _iterate(_one_lane(vec), np.array([[x0]], dtype=float), opts)[0]
-        return replace(rep, ansatz=float(rep.ansatz[0]))
     x = np.array(x0, dtype=float)
-    vec = lambda v: np.asarray(f(v.reshape(x.shape)), dtype=float).reshape(-1)
-    rep = _iterate(_one_lane(vec), x.reshape(1, -1), opts)[0]
-    return replace(rep, ansatz=rep.ansatz.reshape(x.shape))
+    arg = lambda v: float(v[0]) if x.ndim == 0 else v.reshape(x.shape)
+    vec = lambda v: np.asarray(f(arg(v)), dtype=float).reshape(-1)
+    rep = _iterate(_lane_step(vec), x.reshape(1, -1), opts)[0]
+    return replace(rep, ansatz=arg(rep.ansatz))
 
 
-def _one_lane(f):
+def _lane_step(f):
     """A map of one flat vector as a block step over a single lane."""
     def step(_, x):
         try:
@@ -382,11 +379,14 @@ def solve_grid(model, params_seq, k=0, thetas=(), spec=None, options=None,
     lanes times grid points stays within ``spec.max_tensor_points``;
     the pressures and stationarity checks of a block are block pressure
     calls too (``_finish``).  ``starts`` (default: ``default_starts`` of
-    each point) applies to every point; a start of another depth or
-    other exponents than the call's raises ``ShapeMismatch``.
+    each point) applies to every point; an empty list raises
+    ``RangeViolation``, and a start of another depth or other exponents
+    than the call's ``ShapeMismatch``.
     """
     opts = _DEFAULT_OPTIONS if options is None else options
     thetas = tuple(float(t) for t in thetas)
+    if starts is not None and len(starts) < 1:
+        raise RangeViolation("need at least one start")
     if len(thetas) != k:
         raise RangeViolation("need %d exponents for depth %d, got %d"
                              % (k, k, len(thetas)))
@@ -542,6 +542,8 @@ def extremize_theta(model, params, k, spec=None, options=None, thetas0=None,
     along each exponent.  A level whose plateaus merge (to the square
     root of the solver's ``tol``) drops out, unmoved, and is flagged
     degenerate and parked mid-bracket.  README has the details."""
+    if not 0.0 < tol < math.inf:
+        raise BracketViolation("tol must be finite and > 0, got %r" % tol)
     theta = np.array(np.arange(1, k + 1) / (k + 1.0) if thetas0 is None
                      else thetas0, dtype=float)
     sep, hi = 10.0 * tol, 1.0 - THETA_FLOOR

@@ -18,12 +18,16 @@ from rsbsolve import (
     ShapeMismatch,
     SkParams,
     THETA_FLOOR,
+    enumerate_hopfield_pressure,
+    enumerate_sk_pressure,
     extremize_theta,
     hop_p_closed_form,
     hop_pressure_krsb,
     hop_q_denominators,
     hop_sce_rs,
     interpolation_derivative_check,
+    metropolis_state_trace,
+    overlap_histogram,
     sk_pressure_krsb,
     sk_sce_rs,
     solve_model,
@@ -162,6 +166,21 @@ _POINT = InterpolationPoint(t=0.5, x=(0.4,), y=(0.6,), z=0.3, w=0.3)
     pytest.param(lambda: interpolation_derivative_check(
         "hopfield", "t", _POINT, _SK, n=4, samples=2), "HopfieldParams",
         id="interpolation-hopfield"),
+    pytest.param(lambda: enumerate_sk_pressure(_HOP, 4), "SkParams",
+                 id="enumerate-sk"),
+    pytest.param(lambda: enumerate_hopfield_pressure(_SK, 4),
+                 "HopfieldParams", id="enumerate-hopfield"),
+    # a given pattern count reads nothing but beta off the params
+    pytest.param(lambda: enumerate_hopfield_pressure(_SK, 4, p=2),
+                 "HopfieldParams", id="enumerate-hopfield-p"),
+    pytest.param(lambda: overlap_histogram(_HOP, 4, 10), "SkParams",
+                 id="histogram"),
+    pytest.param(lambda: metropolis_state_trace(_HOP, 4, 10), "SkParams",
+                 id="state-trace"),
+    # given couplings draw no disorder sample
+    pytest.param(lambda: metropolis_state_trace(
+        _HOP, 4, 10, couplings=np.zeros((4, 4))), "SkParams",
+        id="state-trace-couplings"),
 ])
 def test_params_of_another_model_raise_type_error(call, want):
     with pytest.raises(TypeError, match="^params must be %s$" % want):

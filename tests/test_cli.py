@@ -71,8 +71,12 @@ DEEP_THETAS = [a for i in range(20) for a in ("--theta", "%g" % (0.04 * (i + 1))
     ["solve", "--model", "sk", "--beta", "1", "--nodes", "2000"],
     ["sweep", "--model", "sk", "--beta", "1", "--nodes", "2000",
      "--sweep", "beta=0.5:1:2"],
+    # one axis twice (the second used to replace the first, its rows
+    # printed twice)
+    ["sweep", "--model", "sk", "--beta", "1", "--sweep", "beta=0.5:1:2",
+     "--sweep", "beta=1.5:2:2"],
 ], ids=["sweep_bad_point", "sweep_bad_theta", "solve_budget", "sweep_budget",
-        "solve_nodes_cap", "sweep_nodes_cap"])
+        "solve_nodes_cap", "sweep_nodes_cap", "sweep_repeated_axis"])
 def test_library_errors_are_usage_errors(runner, args):
     res = invoke(runner, args)
     assert res.exit_code == 1

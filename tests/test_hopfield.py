@@ -21,6 +21,7 @@ from rsbsolve import (
     hop_sce_krsb,
     hop_sce_rs,
 )
+from rsbsolve import hopfield
 
 
 def test_denominator_saturated_overlap():
@@ -111,6 +112,34 @@ def test_zero_load_exponents_meet_the_floor():
             fn(params, a)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_one_cascade_at_every_load(k):
+    # the public cascade runs at the lanes' response coupling (beta, or 0
+    # at zero load) as the solver's does; at the real beta the zero-load
+    # overlaps below would give 1 - 2 (1 - 0.1) = -0.8 and raise
+    th = ((), (0.4,), (0.3, 0.7))[k]
+    for alpha, low in ((0.0, 0.1), (0.05, 0.6)):
+        params = HopfieldParams(beta=2.0, alpha=alpha)
+        qs = tuple(low + 0.15 * i for i in range(k + 1))
+        a = RsbAnsatz(k=k, m=0.5, qs=qs, thetas=th)
+        qd, ps, failed = hopfield._cascade(
+            hopfield._lanes([params])[:, 3], np.array([qs]), th)
+        assert not failed
+        assert hop_q_denominators(params, a).values == tuple(qd[0].tolist())
+        assert hop_p_closed_form(params, a) == tuple(ps[0].tolist())
+        if alpha == 0.0:
+            assert qd[0].tolist() == [1.0] * (k + 1)
+            assert ps[0].tolist() == [0.0] * (k + 1)
+
+
+def test_flat_map_conjugate_is_the_closed_form_at_every_load():
+    for params in (HopfieldParams(beta=2.0, alpha=0.0),
+                   HopfieldParams(beta=1.2, alpha=0.05)):
+        m, q, p = hop_sce_rs(params, 0.5, 0.6)
+        assert p == hop_p_closed_form(params, RsbAnsatz(k=0, m=m, qs=(q,)))[0]
+        assert (p == 0.0) == (params.alpha == 0.0)
 
 
 def test_infinite_temperature_pressure():

@@ -319,11 +319,13 @@ _FLAT_POINT = InterpolationPoint(t=0.5, x=(0.4,), w=0.3)
     lambda: metropolis_run(_SK_FLAT, 10, 10, burn_in=-3),
     lambda: metropolis_run(_GOLDEN_HOP, 10, 10, p=0),
     lambda: enumerate_hopfield_pressure(_GOLDEN_HOP, 4, p=0),
+    lambda: metropolis_state_trace(_SK_FLAT, 4, 0),
+    lambda: metropolis_state_trace(_SK_FLAT, 4, -1),
 ], ids=["interp-samples0", "enum-sk-samples0", "enum-hop-samples0",
         "interp-n0", "metropolis-sk-n0", "metropolis-hop-n0",
         "histogram-disorder0", "histogram-n0", "histogram-sweeps0",
         "trace-n0", "metropolis-negative-burn-in", "metropolis-hop-p0",
-        "enum-hop-p0"])
+        "enum-hop-p0", "trace-sweeps0", "trace-negative-sweeps"])
 def test_empty_oracle_inputs_are_typed_errors(call):
     with pytest.raises(RangeViolation):
         call()

@@ -17,6 +17,7 @@ from rsbsolve import (
     HopfieldParams,
     NonFiniteIntegrand,
     QuadratureSpec,
+    RangeViolation,
     RsbAnsatz,
     ShapeMismatch,
     SkParams,
@@ -266,6 +267,11 @@ def test_exponent_search_rejects_empty_brackets():
     # 99 exponents 0.01 apart do not fit into [0.01, 0.99]
     with pytest.raises(BracketViolation):
         extremize_theta("sk", PAIRWISE, 99)
+    # tol=0 used to return the unmoved start with a NaN curvature, and a
+    # negative tol ran as if it were positive
+    for tol in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(BracketViolation, match="tol must be finite"):
+            extremize_theta("sk", PAIRWISE, 1, spec=FAST, tol=tol)
 
 
 def test_damped_fixed_point_names_a_width_change():
@@ -365,6 +371,15 @@ def test_single_start_override():
     reps = solve_model("sk", params, k=0, starts=[start])
     assert len(reps) == 1
     assert reps[0].converged
+
+
+def test_no_starts_is_refused():
+    # an empty start list used to solve nothing and report no branch
+    params = SkParams(beta=1.4, j0=0.0, j=1.0)
+    with pytest.raises(RangeViolation, match="need at least one start"):
+        solve_model("sk", params, starts=[])
+    with pytest.raises(RangeViolation, match="need at least one start"):
+        solve_grid("sk", [params, params], starts=[])
 
 
 def test_start_of_another_shape_is_refused():
