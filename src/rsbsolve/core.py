@@ -103,8 +103,9 @@ class RsbAnsatz:
     ``qs`` holds the k+1 overlap plateaus (a single value at k=0) and
     ``thetas`` the k interior weight exponents; the outer exponents 0 and
     1 are implicit and never stored.  ``ps`` carries the conjugate
-    plateaus of the associative-memory model and stays None for the pure
-    glass.  Plateaus may touch; exponents may not.
+    plateaus of the associative-memory model that a solve reports (None
+    for the pure glass); no evaluator reads it.  Plateaus may touch;
+    exponents may not.
     """
 
     k: int

@@ -99,20 +99,20 @@ def hop_p_closed_form(params, ansatz):
 
 def _field_coeffs(alpha_beta, ps):
     """Field coefficients sqrt(alpha beta dp) of non-decreasing
-    conjugate plateaus ``ps`` (last axis: a validated ansatz's, or the
-    closed form of ordered overlaps); ``alpha_beta`` broadcasts against
-    them."""
+    conjugate plateaus ``ps`` (last axis: the closed form of ordered
+    overlaps, never an ansatz's reported ``ps``); ``alpha_beta``
+    broadcasts against them."""
     dp = np.asarray(ps, dtype=float)
     if dp.shape[-1] > 1:
         dp = np.concatenate((dp[..., :1], np.diff(dp)), axis=-1)
     return np.sqrt(alpha_beta * dp)
 
 
-def _pressure_block(lanes, plan, x, ps=None):
+def _pressure_block(lanes, plan, x):
     """Pressures, their terms and a dict from row to each failed lane's
     ``DomainError`` or ``NonFiniteIntegrand`` for a block of admissible
-    flat vectors, as ``_sce_step`` takes them (conjugates from ``ps``
-    or their closed form at each lane's response coupling).  A lane at
+    flat vectors, as ``_sce_step`` takes them (conjugates from their
+    closed form at each lane's response coupling).  A lane at
     zero load has unit denominators, zero conjugates and alpha/2 = 0, so
     its load terms are signed zeros.  Each term keeps the one-point formula's
     operation order and ``math.log`` (``np.log`` rounds differently): a
@@ -123,8 +123,6 @@ def _pressure_block(lanes, plan, x, ps=None):
     th = plan.thetas
     k = len(th)
     qd, conj, failed = _cascade(lanes[:, 3], q, th)
-    if ps is not None:
-        conj = np.array(ps, dtype=float)
     half = 0.5 * alpha
     tower, mix = np.zeros(len(x)), np.zeros(len(x))
     for i in range(k):
@@ -154,25 +152,24 @@ def _log(v):
 def hop_pressure_krsb(params, ansatz, spec=None):
     """Hierarchical trial pressure at a depth-k ansatz.
 
-    When ``ansatz.ps`` is None the conjugate plateaus are filled from
-    their closed form.  At zero storage load the pattern layer is absent:
-    the load terms are signed zeros and the value is the one-body
-    ferromagnet's, its field term on the rule.  This is
-    ``_pressure_block`` on a block of one.
+    The conjugate plateaus come from their closed form at the overlaps;
+    ``ansatz.ps`` is a reported value and never read.  At zero storage
+    load the pattern layer is absent: the load terms are signed zeros and
+    the value is the one-body ferromagnet's, its field term on the rule.
+    This is ``_pressure_block`` on a block of one.
     """
     a = validate_ansatz(ansatz)
     pressure, terms = _one_lane(
         _pressure_block, _lanes([params]), level_plan(a.thetas, spec),
-        np.array([(a.m,) + a.qs]), None if a.ps is None else [a.ps])
+        np.array([(a.m,) + a.qs]))
     return Evaluation(pressure=pressure[0],
                       terms={name: float(v[0]) for name, v in terms.items()})
 
 
-def hop_pressure_rs(params, m, q, p=None, spec=None):
-    """Flat-ansatz pressure; ``p`` defaults to its closed form
-    beta q / (1 - beta (1 - q))^2."""
-    ps = None if p is None else (p,)
-    return hop_pressure_krsb(params, RsbAnsatz(k=0, m=m, qs=(q,), ps=ps), spec)
+def hop_pressure_rs(params, m, q, spec=None):
+    """Flat-ansatz pressure at magnetization ``m`` and overlap ``q``, the
+    conjugate at its closed form beta q / (1 - beta (1 - q))^2."""
+    return hop_pressure_krsb(params, RsbAnsatz(k=0, m=m, qs=(q,)), spec)
 
 
 def hop_sce_rs(params, m, q, spec=None):
@@ -195,12 +192,12 @@ def _lanes(params_seq):
                     dtype=float, order="F")
 
 
-def _sce_step(lanes, plan, x, ps=None):
+def _sce_step(lanes, plan, x):
     """The self-consistency map on a block of flat vectors
     [m, q_1..q_{k+1}] of admissible points, one row per lane, with
     per-lane constants from ``_lanes`` and the exponents fixed by
-    ``plan``.  Field coefficients come from the rows of ``ps`` when
-    given, else from ``_cascade`` at each lane's response coupling.
+    ``plan``.  Field coefficients come from ``_cascade`` at each lane's
+    response coupling.
 
     Returns the mapped block and a dict from row to the ``DomainError``
     of that lane's cascade or the ``NonFiniteIntegrand`` of its field
@@ -209,9 +206,7 @@ def _sce_step(lanes, plan, x, ps=None):
     rule: a few ulp off ``math.tanh`` (at most 3 in m and 6 in q on 80
     nodes).
     """
-    failed = {}
-    if ps is None:
-        _, ps, failed = _cascade(lanes[:, 3], x[:, 1:], plan.thetas)
+    _, ps, failed = _cascade(lanes[:, 3], x[:, 1:], plan.thetas)
     out, bad = plan_moments(plan, lanes[:, 0] * x[:, 0],
                             _field_coeffs(lanes[:, 2:3], ps))
     bad.update(failed)
@@ -222,15 +217,14 @@ def hop_sce_krsb(params, ansatz, spec=None):
     """One application of the depth-k self-consistency map with the
     conjugate plateaus eliminated.
 
-    Field coefficients use the incoming conjugate plateaus when given,
-    otherwise their closed form at the incoming overlaps (which must be
-    admissible).  The returned trial point always carries ``ps=None``:
+    Field coefficients use the closed-form conjugates at the incoming
+    overlaps (which must be admissible); ``ansatz.ps`` is a reported
+    value and never read.  The returned trial point carries ``ps=None``:
     the conjugates are slaved, so the iteration runs over magnetization
     and overlaps only and the divergence guard fires on iterates, never
     on raw map output.
     """
     a = validate_ansatz(ansatz)
     x = _one_lane(_sce_step, _lanes([params]), level_plan(a.thetas, spec),
-                  np.array([(a.m,) + a.qs]),
-                  None if a.ps is None else [a.ps])[0]
+                  np.array([(a.m,) + a.qs]))[0]
     return replace(a, m=x[0, 0], qs=x[0, 1:], ps=None)

@@ -229,19 +229,20 @@ def enumerate_hopfield_pressure(params, n, samples=1, seed=0, p=None,
 # ---------------------------------------------------------------------------
 # Metropolis sampling
 
-# Both chains flip on Python lists and update the local fields in place.
-# The update x - (2 sigma_b) c_b is x - 2c_b or x + 2c_b with the doubled
-# column 2c_b precomputed: the same subtraction bit for bit, in one numpy
-# call.
-
-def _hop_chain(patterns, beta, n, sweeps, rng, sigma):
-    o = patterns @ sigma
-    colsq = (patterns ** 2).sum(axis=0).tolist()
-    # the strided columns keep the overlap dot product's BLAS summation
-    # order; the doubled copies only feed the elementwise update
-    cols = list(patterns.T)
-    twice = list(2.0 * np.ascontiguousarray(patterns.T))
+def _chain(x, mat, flip_cost, observe, beta, n, sweeps, rng, sigma,
+           energy=0.0, record=None):
+    """Random-site Metropolis chain flipping ``sigma`` in place; returns
+    the per-sweep magnetization and energy per site.  A model supplies
+    its state vector ``x``, which a flip of site b moves in place by
+    -(2 sigma_b) mat[:, b]; ``flip_cost(b, sigma_b)``; and
+    ``observe(x, total, energy)``, the sweep's two observables from the
+    state, the exact spin sum and ``energy`` plus every accepted cost.
+    ``record``, an (r, n) array, receives the spins after each of the
+    last r sweeps.  The update is x - 2c_b or x + 2c_b with the doubled
+    column 2c_b precomputed: the same subtraction bit for bit."""
+    twice = list(2.0 * np.ascontiguousarray(mat.T))
     spins = sigma.tolist()
+    total = sum(spins)          # integer-valued, so every sum is exact
     m_trace = np.empty(sweeps)
     e_trace = np.empty(sweeps)
     for t in range(sweeps):
@@ -251,51 +252,42 @@ def _hop_chain(patterns, beta, n, sweeps, rng, sigma):
         u = rng.random(n).tolist()
         for b, uk in zip(sites, u):
             sb = spins[b]
-            dh = (2.0 / n) * (sb * float(cols[b] @ o) - colsq[b])
-            if dh <= 0.0 or uk < math.exp(-beta * dh):
-                if sb > 0.0:
-                    o -= twice[b]
-                else:
-                    o += twice[b]
-                spins[b] = -sb
-        m_trace[t] = o[0] / n
-        e_trace[t] = -float(o @ o) / (2.0 * n * n)
-    sigma[:] = spins
-    return m_trace, e_trace
-
-
-def _sk_chain(j, beta, n, sweeps, rng, sigma, record=None):
-    """Random-site Metropolis chain on pairwise couplings ``j``, flipping
-    ``sigma`` in place; returns the per-sweep magnetization and energy
-    per site.  ``record``, an (r, n) array, receives the spins after
-    each of the last r sweeps."""
-    phi = j @ sigma
-    energy = -0.5 * float(sigma @ phi)
-    twice = list(2.0 * np.ascontiguousarray(j.T))
-    spins = sigma.tolist()
-    total = sum(spins)          # integer-valued, so every sum is exact
-    m_trace = np.empty(sweeps)
-    e_trace = np.empty(sweeps)
-    for t in range(sweeps):
-        sites = rng.integers(0, n, size=n).tolist()
-        u = rng.random(n).tolist()
-        for b, uk in zip(sites, u):
-            sb = spins[b]
-            dh = 2.0 * sb * phi[b]
+            dh = flip_cost(b, sb)
             if dh <= 0.0 or uk < math.exp(-beta * dh):
                 energy += dh
                 if sb > 0.0:
-                    phi -= twice[b]
+                    x -= twice[b]
                 else:
-                    phi += twice[b]
+                    x += twice[b]
                 spins[b] = -sb
                 total -= 2.0 * sb
-        m_trace[t] = total / n
-        e_trace[t] = energy / n
+        m_trace[t], e_trace[t] = observe(x, total, energy)
         if record is not None and t >= sweeps - len(record):
             record[t - sweeps + len(record)] = spins
     sigma[:] = spins
     return m_trace, e_trace
+
+
+def _hop_chain(patterns, beta, n, sweeps, rng, sigma):
+    """``_chain`` on the pattern overlaps o = xi sigma."""
+    o = patterns @ sigma
+    colsq = (patterns ** 2).sum(axis=0).tolist()
+    # the strided columns keep the overlap dot product's BLAS order
+    cols = list(patterns.T)
+    return _chain(
+        o, patterns,
+        lambda b, sb: (2.0 / n) * (sb * float(cols[b] @ o) - colsq[b]),
+        lambda o, total, energy: (o[0] / n, -float(o @ o) / (2.0 * n * n)),
+        beta, n, sweeps, rng, sigma)
+
+
+def _sk_chain(j, beta, n, sweeps, rng, sigma, record=None):
+    """``_chain`` on the local fields phi = J sigma of couplings ``j``."""
+    phi = j @ sigma
+    return _chain(phi, j, lambda b, sb: 2.0 * sb * phi[b],
+                  lambda phi, total, energy: (total / n, energy / n),
+                  beta, n, sweeps, rng, sigma,
+                  energy=-0.5 * float(sigma @ phi), record=record)
 
 
 def _batch_estimate(trace, batches=20):
@@ -313,6 +305,17 @@ class MetropolisResult:
 
     overlap: Estimate
     energy: Estimate
+
+
+def _seeded_sk_chain(params, n, sweeps, seed, couplings=None, record=None):
+    """``_sk_chain`` from a random start on the couplings of substream
+    (seed, 3, 0) unless ``couplings`` are given; the start and the chain
+    draw from substreams (seed, 3, 1) and (seed, 3, 2)."""
+    if couplings is None:
+        couplings = sk_disorder_sample(params, n, substream(seed, 3, 0)).matrix
+    sigma = substream(seed, 3, 1).integers(0, 2, size=n) * 2.0 - 1.0
+    return _sk_chain(couplings, params.beta, n, sweeps, substream(seed, 3, 2),
+                     sigma, record=record)
 
 
 def metropolis_run(params, n, sweeps, seed=0, p=None, boolean_patterns=False,
@@ -336,10 +339,7 @@ def metropolis_run(params, n, sweeps, seed=0, p=None, boolean_patterns=False,
         m_tr, e_tr = _hop_chain(sample.patterns, params.beta, n, sweeps,
                                 substream(seed, 2, 1), sigma)
     elif isinstance(params, SkParams):
-        sample = sk_disorder_sample(params, n, substream(seed, 3, 0))
-        sigma = (substream(seed, 3, 1).integers(0, 2, size=n) * 2.0 - 1.0)
-        m_tr, e_tr = _sk_chain(sample.matrix, params.beta, n, sweeps,
-                               substream(seed, 3, 2), sigma)
+        m_tr, e_tr = _seeded_sk_chain(params, n, sweeps, seed)
     else:
         raise TypeError("params must be SkParams or HopfieldParams")
     return MetropolisResult(overlap=_batch_estimate(m_tr[burn:]),
@@ -354,12 +354,8 @@ def metropolis_state_trace(params, n, sweeps, seed=0, couplings=None):
         raise RangeViolation("state traces need n in [1, 16]")
     _check_params(SkParams, params)
     _at_least_one(sweeps=sweeps)
-    if couplings is None:
-        couplings = sk_disorder_sample(params, n, substream(seed, 3, 0)).matrix
-    sigma = (substream(seed, 3, 1).integers(0, 2, size=n) * 2.0 - 1.0)
     spins = np.empty((sweeps, n))
-    _sk_chain(couplings, params.beta, n, sweeps, substream(seed, 3, 2),
-              sigma, record=spins)
+    _seeded_sk_chain(params, n, sweeps, seed, couplings, record=spins)
     return (spins > 0).astype(np.int64) @ (1 << np.arange(n))
 
 
@@ -672,7 +668,8 @@ def interpolation_derivative_check(model, target, point, params, n,
     identity being checked.  A target under a square root whose
     difference stencil would leave the domain raises RangeViolation, and
     so do an exponent outside (0, 1], a step that is not positive and
-    finite, and fewer than one inner draw.
+    finite, fewer than one inner draw and a pairwise check given a
+    hidden-layer coordinate y or z.
     """
     _at_least_one(n=n, samples=samples, inner_samples=inner_samples)
     if not 0.0 < step < math.inf:
@@ -680,6 +677,8 @@ def interpolation_derivative_check(model, target, point, params, n,
     thetas = tuple(float(v) for v in thetas)
     if model == "sk":
         _check_params(SkParams, params)
+        if point.y or point.z:
+            raise RangeViolation("pairwise checks take no hidden-layer y or z")
         if len(thetas) > 1:
             raise RangeViolation("pairwise checks support zero or one exponent")
         if thetas and not 0.0 < thetas[0] <= 1.0:

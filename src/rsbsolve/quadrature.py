@@ -693,7 +693,7 @@ def _block_of_one(kernel, offset, coeffs, thetas, spec):
     if coeffs.shape != (len(plan.nodes),):
         raise RangeViolation(
             "need one field coefficient per level, got %r for %d levels"
-            % (list(np.atleast_1d(coeffs)), len(plan.nodes)))
+            % (np.atleast_1d(coeffs).tolist(), len(plan.nodes)))
     return _one_lane(kernel, plan, np.array([float(offset)]),
                      coeffs[None])[0][0]
 

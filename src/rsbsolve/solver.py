@@ -54,8 +54,8 @@ class SolverOptions:
         object.__setattr__(self, "max_iter", int(self.max_iter))
         if not (0.0 < self.damping <= 1.0):
             raise RangeViolation("damping must lie in (0, 1], got %r" % self.damping)
-        if self.tol <= 0.0:
-            raise RangeViolation("tol must be > 0")
+        if not 0.0 < self.tol < math.inf:
+            raise RangeViolation("tol must be finite and > 0, got %r" % self.tol)
         if self.max_iter < 1:
             raise RangeViolation("max_iter must be >= 1")
 
@@ -224,6 +224,8 @@ def damped_fixed_point(f, x0, options=None):
         rep = _iterate(_lane_step(vec), _flatten(x0)[None], opts)[0]
         return replace(rep, ansatz=_unflatten(rep.ansatz, x0))
     x = np.array(x0, dtype=float)
+    if x.size == 0:
+        raise RangeViolation("the start must hold at least one entry")
     arg = lambda v: float(v[0]) if x.ndim == 0 else v.reshape(x.shape)
     vec = lambda v: np.asarray(f(arg(v)), dtype=float).reshape(-1)
     rep = _iterate(_lane_step(vec), x.reshape(1, -1), opts)[0]

@@ -416,6 +416,9 @@ def test_criterion_8_domain_guard():
          RsbAnsatz(k=1, m=0.0, qs=(0.1, 0.3), thetas=(0.5,))),
         (HopfieldParams(beta=4.0, alpha=0.2),
          RsbAnsatz(k=2, m=0.2, qs=(0.3, 0.5, 0.7), thetas=(0.3, 0.6))),
+        # given conjugates are never read, so they cannot skip the guard
+        (HopfieldParams(beta=2.0, alpha=0.1),
+         RsbAnsatz(k=0, m=0.1, qs=(0.2,), ps=(0.5,))),
     ]
     for params, ansatz in bad:
         with pytest.raises(SusceptibilityDivergence):

@@ -17,6 +17,7 @@ from rsbsolve import (
     RsbAnsatz,
     ShapeMismatch,
     SkParams,
+    SolverOptions,
     THETA_FLOOR,
     enumerate_hopfield_pressure,
     enumerate_sk_pressure,
@@ -128,6 +129,14 @@ def test_quadrature_spec_validation():
         QuadratureSpec(max_tensor_points=0)
     spec = QuadratureSpec()
     assert spec.nodes_per_level == 80
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-3])
+def test_solver_options_tol_validation(tol):
+    # tol=inf used to report every start converged after one iteration,
+    # tol=nan to run every start to the cap
+    with pytest.raises(RangeViolation, match="tol must be finite"):
+        SolverOptions(tol=tol)
 
 
 def test_params_validation():

@@ -75,8 +75,13 @@ DEEP_THETAS = [a for i in range(20) for a in ("--theta", "%g" % (0.04 * (i + 1))
     # printed twice)
     ["sweep", "--model", "sk", "--beta", "1", "--sweep", "beta=0.5:1:2",
      "--sweep", "beta=1.5:2:2"],
+    # a tolerance that is not finite (inf used to report every start
+    # converged, nan to run every start to the cap)
+    ["solve", "--model", "sk", "--beta", "1.6", "--j0", "0.3", "--tol", "inf"],
+    ["solve", "--model", "sk", "--beta", "1.6", "--j0", "0.3", "--tol", "nan"],
 ], ids=["sweep_bad_point", "sweep_bad_theta", "solve_budget", "sweep_budget",
-        "solve_nodes_cap", "sweep_nodes_cap", "sweep_repeated_axis"])
+        "solve_nodes_cap", "sweep_nodes_cap", "sweep_repeated_axis",
+        "solve_tol_inf", "solve_tol_nan"])
 def test_library_errors_are_usage_errors(runner, args):
     res = invoke(runner, args)
     assert res.exit_code == 1

@@ -341,7 +341,12 @@ def test_empty_oracle_inputs_are_typed_errors(call):
         "sk", "w", InterpolationPoint(t=0.5, x=(0.4, 0.25), w=0.3), _SK_FLAT,
         n=3, samples=2, thetas=(0.5,), inner_samples=0),
     lambda: overlap_histogram(_SK_FLAT, 10, 10, bins=0),
-], ids=["interp-step0", "interp-theta0", "interp-inner0", "histogram-bins0"])
+    # the pairwise model has no hidden layer; y and z used to be dropped
+    lambda: interpolation_derivative_check(
+        "sk", "t", InterpolationPoint(t=0.5, x=(0.4,), y=(0.3,), z=0.2, w=0.3),
+        _SK_FLAT, n=3, samples=2),
+], ids=["interp-step0", "interp-theta0", "interp-inner0", "histogram-bins0",
+        "interp-sk-hidden-layer"])
 def test_oracle_knobs_are_typed_errors(call):
     # each used to return NaN, a bare ValueError or an unusable histogram
     with pytest.raises(RangeViolation):

@@ -452,6 +452,14 @@ KERNELS = pytest.mark.parametrize("kernel", [
 
 
 @KERNELS
+def test_coefficient_count_error_prints_plain_floats(kernel):
+    # the message used to show [np.float64(1.0), np.float64(2.0)]
+    with pytest.raises(RangeViolation,
+                       match=r"got \[1\.0, 2\.0\] for 1 levels"):
+        kernel(0.1, [1.0, 2.0])
+
+
+@KERNELS
 @pytest.mark.parametrize("fault,error", [(_injected, LookupError),
                                          (_overflow, RuntimeWarning)])
 @pytest.mark.parametrize("size", [1, 2])

@@ -274,6 +274,12 @@ def test_exponent_search_rejects_empty_brackets():
             extremize_theta("sk", PAIRWISE, 1, spec=FAST, tol=tol)
 
 
+def test_damped_fixed_point_empty_start_is_typed():
+    # used to raise numpy's bare ValueError from the residual reduction
+    with pytest.raises(RangeViolation, match="at least one entry"):
+        damped_fixed_point(lambda x: x, [])
+
+
 def test_damped_fixed_point_names_a_width_change():
     # the pattern map slaves the conjugates (its image has ps=None), so a
     # start that carries them would change the flat width

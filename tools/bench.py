@@ -25,7 +25,10 @@ running lane).  Under ``layers`` it also keeps per-layer timings of each
 side, run in alternating rounds: the median us of one block map
 application of each model at k=0 on 80 nodes (1 and 16 lanes), k=1 on
 80 nodes and k=2 on 24 nodes (2 lanes), and of one iteration of the
-damped loop on a k=0 pairwise row of 16 lanes.  ``--merge`` keeps the
+damped loop on a k=0 pairwise row of 16 lanes; and the median ns per
+proposal of a 20-sweep ``metropolis_run`` of each model (pattern
+model at beta=2, alpha=0.01 on 600 sites, pairwise at beta=0.5 on
+200; ``perfbench`` times whole runs only).  ``--merge`` keeps the
 workloads of an existing file that this run does not measure.
 """
 
@@ -109,8 +112,9 @@ COUNTED = ("rs_sweep", "rsb_solve")
 
 # per-layer timings in a fresh interpreter at the checkout's root: the
 # median us of one block map application (model, k, nodes, lanes) and
-# of one iteration of the damped loop on a k=0 block of 16 lanes, over
-# ``repeats`` timed batches of about 20 ms each; prints JSON
+# of one iteration of the damped loop on a k=0 block of 16 lanes, and
+# the median ns per proposal of each Metropolis chain, over ``repeats``
+# timed batches of about 20 ms each; prints JSON
 _LAYERS = r"""
 import json, statistics, sys, timeit
 sys.path.insert(0, "perfbench")
@@ -154,6 +158,11 @@ loop = lambda: rsb.solver._iterate(
     lambda c, x: rsb.sk._sce_step(c, plan, x), x0, opts, consts)
 iterations = max(r.iterations for r in loop())
 out["iterate_us.sk.k0n80.lanes16"] = median_us(loop, iterations)
+for model, params, n in (
+        ("hopfield", rsb.core.HopfieldParams(beta=2.0, alpha=0.01), 600),
+        ("sk", rsb.core.SkParams(beta=0.5), 200)):
+    run = lambda: rsb.oracle.metropolis_run(params, n, 20)
+    out["proposal_ns.%s.n%d" % (model, n)] = median_us(run, n * 20) * 1e3
 print(json.dumps(out))
 """
 
@@ -277,8 +286,8 @@ def main(argv=None):
     record["counts"] = {side: _counts(root) for side, root in sides.items()}
     record["counts"]["identical"] = (record["counts"]["parent"]
                                      == record["counts"]["change"])
-    record["layers"] = dict(_layers(sides), unit="us", rounds=LAYER_ROUNDS,
-                            repeats=LAYER_REPEATS)
+    record["layers"] = dict(_layers(sides), unit="us, ns for proposal_ns",
+                            rounds=LAYER_ROUNDS, repeats=LAYER_REPEATS)
     for workload in workloads:
         runs = {"parent": [], "change": []}
         for rep in range(args.repeats):
