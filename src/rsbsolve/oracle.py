@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import HopfieldParams, RangeViolation, SkParams
+from .core import HopfieldParams, RangeViolation, ShapeMismatch, SkParams
 
 
 def substream(seed, *key):
@@ -229,31 +229,37 @@ def enumerate_hopfield_pressure(params, n, samples=1, seed=0, p=None,
 # ---------------------------------------------------------------------------
 # Metropolis sampling
 
-def _chain(x, mat, flip_cost, observe, beta, n, sweeps, rng, sigma,
+def _chain(x, mat, flip_costs, observe, beta, n, sweeps, rng, sigma,
            energy=0.0, record=None):
     """Random-site Metropolis chain flipping ``sigma`` in place; returns
     the per-sweep magnetization and energy per site.  A model supplies
     its state vector ``x``, which a flip of site b moves in place by
-    -(2 sigma_b) mat[:, b]; ``flip_cost(b, sigma_b)``; and
-    ``observe(x, total, energy)``, the sweep's two observables from the
-    state, the exact spin sum and ``energy`` plus every accepted cost.
-    ``record``, an (r, n) array, receives the spins after each of the
-    last r sweeps.  The update is x - 2c_b or x + 2c_b with the doubled
-    column 2c_b precomputed: the same subtraction bit for bit."""
+    -(2 sigma_b) mat[:, b]; ``flip_costs(sites)``, called once a sweep
+    with the sweep's site array, which returns ``cost(i, b, sigma_b,
+    moves)``, the energy change of proposal i (site b = sites[i]) after
+    ``moves`` accepted flips of the chain, so a cost read from ``x``
+    goes stale when ``moves`` changes; and ``observe(x, total, energy)``,
+    the sweep's two observables from the state, the exact spin sum and
+    ``energy`` plus every accepted cost.  ``record``, an (r, n) array,
+    receives the spins after each of the last r sweeps.  The update is
+    x - 2c_b or x + 2c_b with the doubled column 2c_b precomputed: the
+    same subtraction bit for bit."""
     twice = list(2.0 * np.ascontiguousarray(mat.T))
     spins = sigma.tolist()
     total = sum(spins)          # integer-valued, so every sum is exact
+    moves = 0
     m_trace = np.empty(sweeps)
     e_trace = np.empty(sweeps)
     for t in range(sweeps):
         # random site choices keep the chain mixing even when every
         # proposal is accepted (deterministic sweeps lock up at beta=0)
-        sites = rng.integers(0, n, size=n).tolist()
+        sites = rng.integers(0, n, size=n)
         u = rng.random(n).tolist()
-        for b, uk in zip(sites, u):
+        cost = flip_costs(sites)
+        for i, b in enumerate(sites.tolist()):
             sb = spins[b]
-            dh = flip_cost(b, sb)
-            if dh <= 0.0 or uk < math.exp(-beta * dh):
+            dh = cost(i, b, sb, moves)
+            if dh <= 0.0 or u[i] < math.exp(-beta * dh):
                 energy += dh
                 if sb > 0.0:
                     x -= twice[b]
@@ -261,6 +267,7 @@ def _chain(x, mat, flip_cost, observe, beta, n, sweeps, rng, sigma,
                     x += twice[b]
                 spins[b] = -sb
                 total -= 2.0 * sb
+                moves += 1
         m_trace[t], e_trace[t] = observe(x, total, energy)
         if record is not None and t >= sweeps - len(record):
             record[t - sweeps + len(record)] = spins
@@ -268,23 +275,50 @@ def _chain(x, mat, flip_cost, observe, beta, n, sweeps, rng, sigma,
     return m_trace, e_trace
 
 
+# Proposals of the pattern model whose costs one vecdot reads; in the
+# retrieval regime about 20 proposals in a row are rejected
+_HOP_BLOCK = 32
+
+
 def _hop_chain(patterns, beta, n, sweeps, rng, sigma):
-    """``_chain`` on the pattern overlaps o = xi sigma."""
+    """``_chain`` on the pattern overlaps o = xi sigma.  The costs of the
+    next ``_HOP_BLOCK`` proposals come from one vecdot of their pattern
+    columns with o, read again from the proposal after an accepted flip.
+    A sweep's columns are gathered into one (p, n) array, so each keeps
+    the stride of a column of the C-ordered ``patterns`` and vecdot makes
+    the BLAS dot that ``patterns[:, b] @ o`` makes, bit for bit: OpenBLAS
+    sums in another order at another stride, a contiguous copy's too."""
     o = patterns @ sigma
     colsq = (patterns ** 2).sum(axis=0).tolist()
-    # the strided columns keep the overlap dot product's BLAS order
-    cols = list(patterns.T)
+    scale = 2.0 / n
+
+    def flip_costs(sites):
+        cols = np.take(patterns, sites, axis=1).T
+        lo = end = 0
+        read_at = -1
+        dots = []
+
+        def cost(i, b, sb, moves):
+            nonlocal lo, end, read_at, dots
+            if i >= end or moves != read_at:
+                lo, end, read_at = i, i + _HOP_BLOCK, moves
+                dots = np.vecdot(cols[lo:end], o).tolist()
+            return scale * (sb * dots[i - lo] - colsq[b])
+        return cost
+
     return _chain(
-        o, patterns,
-        lambda b, sb: (2.0 / n) * (sb * float(cols[b] @ o) - colsq[b]),
+        o, patterns, flip_costs,
         lambda o, total, energy: (o[0] / n, -float(o @ o) / (2.0 * n * n)),
         beta, n, sweeps, rng, sigma)
 
 
 def _sk_chain(j, beta, n, sweeps, rng, sigma, record=None):
-    """``_chain`` on the local fields phi = J sigma of couplings ``j``."""
+    """``_chain`` on the local fields phi = J sigma of couplings ``j``.
+    A cost reads phi_b as a Python float: the IEEE operations of an
+    np.float64, bit for bit, without numpy scalars."""
     phi = j @ sigma
-    return _chain(phi, j, lambda b, sb: 2.0 * sb * phi[b],
+    cost = lambda i, b, sb, moves: 2.0 * sb * phi.item(b)
+    return _chain(phi, j, lambda sites: cost,
                   lambda phi, total, energy: (total / n, energy / n),
                   beta, n, sweeps, rng, sigma,
                   energy=-0.5 * float(sigma @ phi), record=record)
@@ -324,8 +358,9 @@ def metropolis_run(params, n, sweeps, seed=0, p=None, boolean_patterns=False,
 
     For pattern models the chain starts aligned with the retrieved
     pattern and reports the overlap with it; for pairwise-coupling models
-    it starts at random and reports the plain magnetization.  Errors are
-    batch-mean standard errors over the measurement window.
+    it starts at random and reports the plain magnetization, and pattern
+    arguments (``p``, ``boolean_patterns``) raise RangeViolation.  Errors
+    are batch-mean standard errors over the measurement window.
     """
     _at_least_one(n=n)
     burn = sweeps // 2 if burn_in is None else burn_in
@@ -339,6 +374,9 @@ def metropolis_run(params, n, sweeps, seed=0, p=None, boolean_patterns=False,
         m_tr, e_tr = _hop_chain(sample.patterns, params.beta, n, sweeps,
                                 substream(seed, 2, 1), sigma)
     elif isinstance(params, SkParams):
+        if p is not None or boolean_patterns:
+            raise RangeViolation("pairwise chains take no patterns "
+                                 "(p, boolean_patterns)")
         m_tr, e_tr = _seeded_sk_chain(params, n, sweeps, seed)
     else:
         raise TypeError("params must be SkParams or HopfieldParams")
@@ -349,11 +387,14 @@ def metropolis_run(params, n, sweeps, seed=0, p=None, boolean_patterns=False,
 def metropolis_state_trace(params, n, sweeps, seed=0, couplings=None):
     """Per-sweep configuration indices of a pairwise-coupling chain
     (small n only); used for occupancy checks against the exact
-    Boltzmann weights."""
+    Boltzmann weights.  Given ``couplings`` must be an (n, n) array."""
     if not 1 <= n <= 16:
         raise RangeViolation("state traces need n in [1, 16]")
     _check_params(SkParams, params)
     _at_least_one(sweeps=sweeps)
+    if couplings is not None and np.shape(couplings) != (n, n):
+        raise ShapeMismatch("couplings must have shape (%d, %d), got %r"
+                            % (n, n, np.shape(couplings)))
     spins = np.empty((sweeps, n))
     _seeded_sk_chain(params, n, sweeps, seed, couplings, record=spins)
     return (spins > 0).astype(np.int64) @ (1 << np.arange(n))
@@ -669,7 +710,7 @@ def interpolation_derivative_check(model, target, point, params, n,
     difference stencil would leave the domain raises RangeViolation, and
     so do an exponent outside (0, 1], a step that is not positive and
     finite, fewer than one inner draw and a pairwise check given a
-    hidden-layer coordinate y or z.
+    hidden-layer coordinate y or z or a pattern count p.
     """
     _at_least_one(n=n, samples=samples, inner_samples=inner_samples)
     if not 0.0 < step < math.inf:
@@ -701,6 +742,8 @@ def interpolation_derivative_check(model, target, point, params, n,
     if target in cls.roots and v0 - delta < 0.0:
         raise RangeViolation(
             "cannot difference %s at %r: step leaves the domain" % (target, v0))
+    if model == "sk" and p is not None:
+        raise RangeViolation("pairwise checks take no pattern count p")
     size = max(1, _BLOCK_FLOATS // (2 ** n * cls.width(n, *extra)))
     fds, brs = [], []
     for lo in range(0, samples, size):

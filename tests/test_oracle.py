@@ -2,6 +2,7 @@
 derivative identities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from rsbsolve import (
     HopfieldParams,
     InterpolationPoint,
     RangeViolation,
+    ShapeMismatch,
     SkParams,
     enumerate_hopfield_pressure,
     enumerate_sk_pressure,
@@ -345,9 +347,25 @@ def test_empty_oracle_inputs_are_typed_errors(call):
     lambda: interpolation_derivative_check(
         "sk", "t", InterpolationPoint(t=0.5, x=(0.4,), y=(0.3,), z=0.2, w=0.3),
         _SK_FLAT, n=3, samples=2),
+    # pattern arguments of a pairwise call used to be dropped
+    lambda: metropolis_run(SkParams(beta=0.5), 20, 10, seed=1, p=3),
+    lambda: metropolis_run(SkParams(beta=0.5), 20, 10, seed=1,
+                           boolean_patterns=True),
+    lambda: interpolation_derivative_check(
+        "sk", "t", _FLAT_POINT, _SK_FLAT, n=4, samples=5, p=3),
 ], ids=["interp-step0", "interp-theta0", "interp-inner0", "histogram-bins0",
-        "interp-sk-hidden-layer"])
+        "interp-sk-hidden-layer", "metropolis-sk-p",
+        "metropolis-sk-boolean-patterns", "interp-sk-p"])
 def test_oracle_knobs_are_typed_errors(call):
     # each used to return NaN, a bare ValueError or an unusable histogram
     with pytest.raises(RangeViolation):
         call()
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (4,), (4, 5)])
+def test_state_trace_couplings_shape_is_typed_error(shape):
+    # a mismatched matrix used to fail inside numpy's matmul
+    with pytest.raises(ShapeMismatch, match=r"\(4, 4\).*%s" % re.escape(
+            repr(shape))):
+        metropolis_state_trace(SkParams(beta=0.5), 4, 5,
+                               couplings=np.zeros(shape))

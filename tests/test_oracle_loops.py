@@ -301,3 +301,113 @@ def test_block_size_is_invisible(monkeypatch, args, kw):
     for floats in (1, 3 * 2 ** 5 * 32, 2 ** 30):
         monkeypatch.setattr(oracle, "_BLOCK_FLOATS", floats)
         assert repr(interpolation_derivative_check(*args, **kw)) == want
+
+
+# ---------------------------------------------------------------------------
+# the pattern chain's blocked cost reads
+
+def _spy_costs(monkeypatch):
+    """Patch the chain so that every cost it reads is recorded with the
+    moves passed and the per-proposal dot cost at that moment."""
+    seen = []
+    real_chain = oracle._chain
+
+    def chain(x, mat, flip_costs, *args, **kw):
+        plain = np.asarray(mat)
+        colsq = (plain ** 2).sum(axis=0)
+        n = plain.shape[1]
+
+        def spied(sites):
+            cost = flip_costs(sites)
+
+            def read(i, b, sb, moves):
+                dh = cost(i, b, sb, moves)
+                want = (2.0 / n) * (sb * float(plain[:, b] @ x) - colsq[b])
+                seen.append((moves, dh, float(want)))
+                return dh
+            return read
+        return real_chain(x, mat, spied, *args, **kw)
+
+    monkeypatch.setattr(oracle, "_chain", chain)
+    return seen
+
+
+def _patterns(p, n):
+    patterns = np.random.default_rng(11).normal(size=(p, n))
+    patterns[0] = np.sign(patterns[0])
+    return patterns
+
+
+@pytest.mark.parametrize("block", [1, 5, 32, 64])
+@pytest.mark.parametrize("beta", [0.0, 2.0, 40.0])
+def test_hop_chain_block_size_is_invisible(monkeypatch, block, beta):
+    # at n=40 blocks of 5 and 64 straddle the end of a sweep (64 > n); at
+    # beta=0 every proposal is accepted, so a block goes stale on every
+    # step, and at beta=40 whole sweeps are rejected; p=7 makes the
+    # order of the dot product's sum matter
+    n, sweeps = 40, 25
+    patterns = _patterns(7, n)
+    monkeypatch.setattr(oracle, "_HOP_BLOCK", block)
+    seen = _spy_costs(monkeypatch)
+    spins = {}
+    traces = {}
+    for name, chain in (("new", oracle._hop_chain), ("loop", _loop_hop_chain)):
+        spins[name] = patterns[0].copy()
+        traces[name] = chain(patterns, beta, n, sweeps,
+                             np.random.default_rng(12), spins[name])
+    for a, b in zip(traces["new"], traces["loop"]):
+        assert np.array_equal(a, b)
+    assert np.array_equal(spins["new"], spins["loop"])
+    # the acceptance test rarely tells a last-bit change of a cost, so
+    # every cost read must also equal the dot patterns[:, b] @ o
+    assert len(seen) == n * sweeps
+    assert [dh for _, dh, _ in seen] == [want for _, _, want in seen]
+
+
+def test_hop_chain_rejects_whole_sweeps():
+    # the premise of the beta=40 cases above: some sweep accepts no flip
+    patterns = _patterns(7, 40)
+    m, _ = _loop_hop_chain(patterns, 40.0, 40, 25, np.random.default_rng(12),
+                           patterns[0].copy())
+    assert np.any(m[1:] == m[:-1])
+
+
+class _CountedPatterns(np.ndarray):
+    """Patterns that count the ufuncs called on them (``@`` included);
+    arrays made from them share the count."""
+
+    def __array_finalize__(self, obj):
+        self.calls = getattr(obj, "calls", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.calls[ufunc.__name__] = self.calls.get(ufunc.__name__, 0) + 1
+        inputs = [np.asarray(a) for a in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_hop_chain_reads_costs_in_blocks(monkeypatch):
+    # at beta=2, alpha=0.01 a few percent of proposals are accepted;
+    # a cost is read again only after an accepted flip, at the end of a
+    # block and at the start of a sweep, and never by one dot per proposal
+    n, sweeps = 600, 10
+    sample = oracle.hopfield_disorder_sample(
+        HopfieldParams(beta=2.0, alpha=0.01), n, oracle.substream(0, 2, 0))
+    patterns = sample.patterns.view(_CountedPatterns)
+    patterns.calls = {}
+    vecdots = []
+    real_vecdot = np.vecdot
+    monkeypatch.setattr(np, "vecdot", lambda a, b: vecdots.append(len(a))
+                        or real_vecdot(a, b))
+    seen = _spy_costs(monkeypatch)
+    sigma = sample.patterns[0].copy()
+    oracle._hop_chain(patterns, 2.0, n, sweeps, np.random.default_rng(1),
+                      sigma)
+    moves = [m for m, _, _ in seen]
+    proposals = n * sweeps
+    assert len(moves) == proposals
+    # moves[-1] accepted flips precede the last proposal
+    assert 0 < moves[-1] < proposals // 10
+    assert len(vecdots) <= moves[-1] + math.ceil(proposals / 32) + sweeps
+    assert sum(vecdots) >= proposals
+    # one matmul builds the overlaps; a per-proposal dot would add 6000
+    assert patterns.calls.get("matmul", 0) <= 1

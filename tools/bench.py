@@ -27,8 +27,13 @@ application of each model at k=0 on 80 nodes (1 and 16 lanes), k=1 on
 80 nodes and k=2 on 24 nodes (2 lanes), and of one iteration of the
 damped loop on a k=0 pairwise row of 16 lanes; and the median ns per
 proposal of a 20-sweep ``metropolis_run`` of each model (pattern
-model at beta=2, alpha=0.01 on 600 sites, pairwise at beta=0.5 on
-200; ``perfbench`` times whole runs only).  ``--merge`` keeps the
+model at beta=2, alpha=0.01 on 600 sites; pairwise at beta=0.5 on 200,
+at beta=0 on 256, where every proposal is accepted, and at beta=2,
+j0=3, j=0 on 100, where almost none is; ``perfbench`` times whole runs
+only).  Each timed batch is scaled to the reference speed by the
+``perfbench/calibrate.py`` calibrations before and after it, as
+``perfbench`` scales its items: on a shared machine the same code runs
+up to twice as slow for seconds at a time.  ``--merge`` keeps the
 workloads of an existing file that this run does not measure.
 """
 
@@ -114,11 +119,13 @@ COUNTED = ("rs_sweep", "rsb_solve")
 # median us of one block map application (model, k, nodes, lanes) and
 # of one iteration of the damped loop on a k=0 block of 16 lanes, and
 # the median ns per proposal of each Metropolis chain, over ``repeats``
-# timed batches of about 20 ms each; prints JSON
+# timed batches of about 20 ms each, each scaled to the reference speed
+# by the perfbench calibrations taken before and after it; prints JSON
 _LAYERS = r"""
 import json, statistics, sys, timeit
 sys.path.insert(0, "perfbench")
 import package
+from calibrate import REFERENCE_S, calibration
 package.pin_allocator()
 rsb = package.load(with_cli=False)
 import numpy as np
@@ -138,7 +145,11 @@ def block(model, k, nodes, lanes):
 
 def median_us(fn, per=1):
     number = max(1, int(0.02 / min(timeit.repeat(fn, number=1, repeat=3))))
-    runs = timeit.repeat(fn, number=number, repeat=repeats)
+    runs = []
+    for _ in range(repeats):
+        before = calibration()
+        raw = timeit.timeit(fn, number=number)
+        runs.append(raw * REFERENCE_S / (0.5 * (before + calibration())))
     return statistics.median(runs) / number / per * 1e6
 
 out = {}
@@ -158,9 +169,12 @@ loop = lambda: rsb.solver._iterate(
     lambda c, x: rsb.sk._sce_step(c, plan, x), x0, opts, consts)
 iterations = max(r.iterations for r in loop())
 out["iterate_us.sk.k0n80.lanes16"] = median_us(loop, iterations)
+# every proposal accepted (sk_para), almost none (sk_ferro)
 for model, params, n in (
         ("hopfield", rsb.core.HopfieldParams(beta=2.0, alpha=0.01), 600),
-        ("sk", rsb.core.SkParams(beta=0.5), 200)):
+        ("sk", rsb.core.SkParams(beta=0.5), 200),
+        ("sk_para", rsb.core.SkParams(beta=0.0), 256),
+        ("sk_ferro", rsb.core.SkParams(beta=2.0, j0=3.0, j=0.0), 100)):
     run = lambda: rsb.oracle.metropolis_run(params, n, 20)
     out["proposal_ns.%s.n%d" % (model, n)] = median_us(run, n * 20) * 1e3
 print(json.dumps(out))
@@ -286,7 +300,9 @@ def main(argv=None):
     record["counts"] = {side: _counts(root) for side, root in sides.items()}
     record["counts"]["identical"] = (record["counts"]["parent"]
                                      == record["counts"]["change"])
-    record["layers"] = dict(_layers(sides), unit="us, ns for proposal_ns",
+    record["layers"] = dict(_layers(sides),
+                            unit="us at the reference speed, ns for "
+                                 "proposal_ns",
                             rounds=LAYER_ROUNDS, repeats=LAYER_REPEATS)
     for workload in workloads:
         runs = {"parent": [], "change": []}
