@@ -388,6 +388,16 @@ def test_no_starts_is_refused():
         solve_grid("sk", [params, params], starts=[])
 
 
+def test_unknown_model_is_refused():
+    # default_starts used to return the pairwise starts for any name
+    for call in (lambda: default_starts("foo", PAIRWISE, 0),
+                 lambda: solve_grid("foo", [PAIRWISE]),
+                 lambda: extremize_theta("foo", PAIRWISE, 1, spec=FAST)):
+        with pytest.raises(RangeViolation, match="model must be 'sk' or "
+                                                 "'hopfield', got 'foo'"):
+            call()
+
+
 def test_start_of_another_shape_is_refused():
     # a solve runs at the depth and exponents it is asked for: a start
     # of another depth or other exponents is not solved there instead
@@ -617,6 +627,33 @@ def test_sweep_stdout_matches_recorded_bits(row, digest):
     res = CliRunner().invoke(cli_main, [
         "sweep", "--model", model, "--beta", beta, "--sweep", axis,
         "--nodes", "80"], catch_exceptions=False)
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
+# k=1 sweeps on 24 nodes and the SHA-256 of their stdout: a pairwise
+# grid with two magnetized rows, a pattern grid whose alpha=0 row keeps
+# its p cells empty, and the same grid capped at 200 iterations, where
+# the alpha=0.04 row is unconverged and every value cell of it is empty
+_SWEEP_K1_GOLDENS = {
+    "sk": (["--model", "sk", "--beta", "1.6", "--sweep", "j0=0.4:1.6:4"],
+           "c4579713f29d27c13c8af3df2baad839b996b64ead257a30074a90a0d781f215"),
+    "hopfield_zero_load": (
+        ["--model", "hopfield", "--beta", "1.4", "--sweep", "alpha=0:0.12:4"],
+        "5b1466b3341e298bdf0d0042135480ae562ac640e8dbf3c53fa2ca875b99dc5f"),
+    "hopfield_unconverged": (
+        ["--model", "hopfield", "--beta", "1.4", "--sweep", "alpha=0:0.12:4",
+         "--max-iter", "200"],
+        "0c5e34b799d1fd3b461557ed992867ed74eee086416d026f48cb69f6b304735f"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SWEEP_K1_GOLDENS))
+def test_k1_sweep_stdout_matches_recorded_bits(case):
+    args, digest = _SWEEP_K1_GOLDENS[case]
+    res = CliRunner().invoke(cli_main, ["sweep", *args, "--k", "1",
+                                        "--theta", "0.5", "--nodes", "24"],
+                             catch_exceptions=False)
     assert res.exit_code == 0
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
