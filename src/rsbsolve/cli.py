@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import click
 
@@ -34,16 +34,13 @@ from .oracle import (
     interpolation_derivative_check,
     overlap_histogram,
 )
-from .hopfield import hop_pressure_krsb, hop_pressure_rs
-from .sk import sk_pressure_krsb, sk_pressure_rs
+from .hopfield import hop_pressure_krsb
+from .sk import sk_pressure_krsb
 from .solver import SolverOptions, solve_grid, solve_model
 
 # the contract reserves exit code 2 for missing convergence; click's
 # default usage-error code collides with it
 click.exceptions.UsageError.exit_code = 1
-
-_USAGE_ERRORS = (RangeViolation, OrderingViolation, ShapeMismatch,
-                 BudgetExceeded)
 
 
 @contextmanager
@@ -52,51 +49,42 @@ def _usage_errors():
     # them as usage errors (exit 1), never as tracebacks
     try:
         yield
-    except _USAGE_ERRORS as exc:
+    except (RangeViolation, OrderingViolation, ShapeMismatch,
+            BudgetExceeded) as exc:
         raise click.UsageError(str(exc))
 
 
-def _default_nodes():
-    env = os.environ.get("RSB_NODES")
-    if env is None:
-        return 80
-    try:
-        return int(env)
-    except ValueError:
-        raise click.UsageError("RSB_NODES must be an integer, got %r" % env)
-
-
 def _build_spec(nodes):
-    n = _default_nodes() if nodes is None else nodes
+    if nodes is None:
+        env = os.environ.get("RSB_NODES", "80")
+        try:
+            nodes = int(env)
+        except ValueError:
+            raise click.UsageError("RSB_NODES must be an integer, got %r"
+                                   % env)
     with _usage_errors():
-        return QuadratureSpec(nodes_per_level=n)
+        return QuadratureSpec(nodes_per_level=nodes)
 
 
-def _build_params(model, beta, j0, j, alpha):
-    if model == "sk":
-        if alpha is not None:
-            raise click.UsageError("--alpha applies to the hopfield model only")
-        kwargs = {"beta": beta}
-        if j0 is not None:
-            kwargs["j0"] = j0
-        if j is not None:
-            kwargs["j"] = j
-        cls = SkParams
-    else:
-        if j0 is not None or j is not None:
-            raise click.UsageError("--j0/--j apply to the sk model only")
-        kwargs = {"beta": beta}
-        if alpha is not None:
-            kwargs["alpha"] = alpha
-        cls = HopfieldParams
+# each model's parameter record: its field names are the model's
+# parameter flags, sweep axes and CSV parameter columns
+_PARAMS = {"sk": SkParams, "hopfield": HopfieldParams}
+
+
+def _names(model):
+    return [f.name for f in fields(_PARAMS[model])]
+
+
+def _setup(model, flags, k, thetas, nodes, damping, tol, max_iter, axes=()):
+    """The checked point, spec and solver options of solve and sweep;
+    ``flags`` holds each parameter flag by name (None if not given)."""
+    given = {name: value for name, value in flags.items() if value is not None}
+    for name in given:
+        if name not in _names(model):
+            raise click.UsageError("--%s does not apply to the %s model"
+                                   % (name, model))
     with _usage_errors():
-        return cls(**kwargs)
-
-
-def _setup(model, beta, j0, j, alpha, k, thetas, nodes, damping, tol,
-           max_iter, axes=()):
-    """The checked point, spec and solver options of solve and sweep."""
-    params = _build_params(model, beta, j0, j, alpha)
+        params = _PARAMS[model](**given)
     if len(thetas) != k:
         raise click.UsageError(
             "depth %d needs exactly %d --theta values, got %d"
@@ -111,7 +99,7 @@ def _setup(model, beta, j0, j, alpha, k, thetas, nodes, damping, tol,
 
 def _model_options(f):
     opts = [
-        click.option("--model", type=click.Choice(["sk", "hopfield"]),
+        click.option("--model", type=click.Choice(list(_PARAMS)),
                      required=True, help="Which mean-field model to evaluate."),
         click.option("--beta", type=float, required=True,
                      help="Inverse temperature."),
@@ -145,16 +133,10 @@ def _model_options(f):
 
 
 def _branch_dict(index, report):
-    return {
-        "branch": index,
-        "ansatz": report.ansatz.to_dict(),
-        "pressure": report.pressure,
-        "residual": report.residual,
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "stationarity": report.stationarity,
-        "stationary": report.stationary,
-    }
+    keys = ("pressure", "residual", "iterations", "converged",
+            "stationarity", "stationary")
+    return dict({key: getattr(report, key) for key in keys}, branch=index,
+                ansatz=report.ansatz.to_dict())
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -164,10 +146,10 @@ def main():
 
 @main.command()
 @_model_options
-def solve(model, beta, j0, j, alpha, k, thetas, nodes, damping, tol, max_iter):
+def solve(model, k, thetas, nodes, damping, tol, max_iter, **flags):
     """Solve one parameter point and print converged branches as JSON."""
-    params, spec, options = _setup(model, beta, j0, j, alpha, k, thetas,
-                                   nodes, damping, tol, max_iter)
+    params, spec, options = _setup(model, flags, k, thetas, nodes, damping,
+                                   tol, max_iter)
     with _usage_errors():
         reports = solve_model(model, params, k=k, thetas=thetas, spec=spec,
                               options=options)
@@ -186,7 +168,7 @@ def _parse_axis(spec_str, model):
     except ValueError:
         raise click.UsageError(
             "sweep axis must look like name=start:stop:steps, got %r" % spec_str)
-    allowed = ("beta", "j0", "j") if model == "sk" else ("beta", "alpha")
+    allowed = _names(model)
     if name not in allowed:
         raise click.UsageError(
             "unknown sweep axis %r for model %s (allowed: %s)"
@@ -204,32 +186,29 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _sweep_rows(model, params, k, reports):
-    param_cells = [_fmt(params.beta)] + (
-        [_fmt(params.j0), _fmt(params.j)] if model == "sk"
-        else [_fmt(params.alpha)])
+def _header(model, k):
+    # the pattern model reports its conjugate plateaus too
+    plateaus = "qp" if _PARAMS[model] is HopfieldParams else "q"
+    return (_names(model) + ["branch", "m"]
+            + ["%s%d" % (c, a) for c in plateaus for a in range(1, k + 2)]
+            + ["pressure", "residual", "converged"])
+
+
+def _sweep_rows(header, params, reports):
+    """The CSV rows of one grid point, one per converged branch, else one
+    unconverged row; a cell its row does not fill is empty."""
+    point = {f.name: _fmt(getattr(params, f.name)) for f in fields(params)}
     branches = [r for r in reports if r.converged]
-    rows = []
-    if not branches:
-        blank = 2 + (k + 1) * (2 if model == "hopfield" else 1) + 2
-        rows.append(param_cells + [""] * blank + ["false"])
-        return rows
+    rows = [] if branches else [dict(point, converged="false")]
     for i, rep in enumerate(branches):
         a = rep.ansatz
-        cells = list(param_cells)
-        cells.append(str(i))
-        cells.append(_fmt(a.m))
-        cells.extend(_fmt(q) for q in a.qs)
-        if model == "hopfield":
-            if a.ps is not None:
-                cells.extend(_fmt(p) for p in a.ps)
-            else:
-                cells.extend([""] * (k + 1))
-        cells.append(_fmt(rep.pressure))
-        cells.append(_fmt(rep.residual))
-        cells.append("true")
+        cells = dict(point, branch=str(i), m=_fmt(a.m),
+                     pressure=_fmt(rep.pressure),
+                     residual=_fmt(rep.residual), converged="true")
+        cells.update(("q%d" % b, _fmt(q)) for b, q in enumerate(a.qs, 1))
+        cells.update(("p%d" % b, _fmt(p)) for b, p in enumerate(a.ps or (), 1))
         rows.append(cells)
-    return rows
+    return [[cells.get(name, "") for name in header] for cells in rows]
 
 
 @main.command()
@@ -238,36 +217,25 @@ def _sweep_rows(model, params, k, reports):
               help="Grid axis as name=start:stop:steps (max two, row-major).")
 @click.option("--out", type=click.Path(dir_okay=False, writable=True),
               default=None, help="Write CSV here instead of standard output.")
-def sweep(model, beta, j0, j, alpha, k, thetas, nodes, damping, tol, max_iter,
-          axes, out):
+def sweep(model, k, thetas, nodes, damping, tol, max_iter, axes, out,
+          **flags):
     """Sweep a parameter grid and emit one CSV row per converged branch."""
-    params, spec, options = _setup(model, beta, j0, j, alpha, k, thetas,
-                                   nodes, damping, tol, max_iter, axes)
+    params, spec, options = _setup(model, flags, k, thetas, nodes, damping,
+                                   tol, max_iter, axes)
     parsed = [_parse_axis(a, model) for a in axes]
     if len({name for name, _ in parsed}) < len(parsed):
         raise click.UsageError("sweep axis %r given twice" % parsed[0][0])
-    points = [{}]
-    for name, values in parsed:
-        points = [dict(pt, **{name: v}) for pt in points for v in values]
-
+    grid = [params]
     with _usage_errors():
-        grid = [replace(params, **pt) for pt in points]
+        for name, values in parsed:
+            grid = [replace(pt, **{name: v}) for pt in grid for v in values]
         # every point and start in lockstep, one block map step per iteration
         reports = solve_grid(model, grid, k=k, thetas=thetas, spec=spec,
                              options=options)
-    results = [_sweep_rows(model, params, k, reps)
-               for params, reps in zip(grid, reports)]
-
-    header = ["beta", "j0", "j"] if model == "sk" else ["beta", "alpha"]
-    header += ["branch", "m"]
-    header += ["q%d" % i for i in range(1, k + 2)]
-    if model == "hopfield":
-        header += ["p%d" % i for i in range(1, k + 2)]
-    header += ["pressure", "residual", "converged"]
-
+    header = _header(model, k)
     lines = [",".join(header)]
-    for rows in results:
-        lines.extend(",".join(r) for r in rows)
+    for params, reps in zip(grid, reports):
+        lines.extend(",".join(r) for r in _sweep_rows(header, params, reps))
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -283,12 +251,11 @@ def _suite_collapse(n, samples, seed, spec):
     # a degenerate hierarchy (all plateaus equal) must reproduce the flat
     # evaluation exactly; it is evaluated as one level at any --nodes
     checks = []
-    for name, params, rs, krsb in (
-            ("pairwise", SkParams(beta=1.1, j0=0.3, j=0.9), sk_pressure_rs,
-             sk_pressure_krsb),
-            ("pattern", HopfieldParams(beta=1.1, alpha=0.08), hop_pressure_rs,
+    for name, params, krsb in (
+            ("pairwise", SkParams(beta=1.1, j0=0.3, j=0.9), sk_pressure_krsb),
+            ("pattern", HopfieldParams(beta=1.1, alpha=0.08),
              hop_pressure_krsb)):
-        flat = rs(params, 0.3, 0.4, spec=spec).pressure
+        flat = krsb(params, RsbAnsatz(k=0, m=0.3, qs=(0.4,)), spec).pressure
         for k in (1, 2, 3):
             thetas = tuple((i + 1.0) / (k + 1.0) for i in range(k))
             a = RsbAnsatz(k=k, m=0.3, qs=(0.4,) * (k + 1), thetas=thetas)
@@ -383,11 +350,9 @@ def _suite_stationarity(n, samples, seed, spec):
         grads = [b.stationarity for b in branches
                  if b.converged and b.stationarity is not None]
         worst = max(grads) if grads else math.inf
-        beta = params.beta
-        second = params.j0 if model == "sk" else params.alpha
-        name = "%s_k%d_b%s_%s" % (model, len(thetas),
-                                  ("%g" % beta), ("%g" % second))
-        checks.append((name, worst, 1e-5))
+        beta, second = (getattr(params, f.name) for f in fields(params)[:2])
+        checks.append(("%s_k%d_b%g_%g" % (model, len(thetas), beta, second),
+                       worst, 1e-5))
     return checks
 
 

@@ -51,6 +51,14 @@ class BracketViolation(ValueError):
 # ---------------------------------------------------------------------------
 # parameter records
 
+def _integral(obj, name, error=RangeViolation):
+    """Store field ``name`` of ``obj`` as an int, or raise ``error``."""
+    v = getattr(obj, name)
+    if not float(v).is_integer():
+        raise error("%s must be an integer, got %r" % (name, v))
+    object.__setattr__(obj, name, int(v))
+
+
 def _check_nonneg(obj, names):
     for name in names:
         v = float(getattr(obj, name))
@@ -115,7 +123,7 @@ class RsbAnsatz:
     ps: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "k", int(self.k))
+        _integral(self, "k", ShapeMismatch)
         object.__setattr__(self, "m", float(self.m))
         object.__setattr__(self, "qs", _float_tuple(self.qs, "qs"))
         object.__setattr__(self, "thetas", _float_tuple(self.thetas, "thetas"))
@@ -227,8 +235,8 @@ class QuadratureSpec:
     max_tensor_points: int = 1 << 20
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes_per_level", int(self.nodes_per_level))
-        object.__setattr__(self, "max_tensor_points", int(self.max_tensor_points))
+        _integral(self, "nodes_per_level")
+        _integral(self, "max_tensor_points")
         if not 2 <= self.nodes_per_level <= MAX_NODES:
             raise RangeViolation("nodes_per_level must lie in [2, %d], got %d"
                                  % (MAX_NODES, self.nodes_per_level))

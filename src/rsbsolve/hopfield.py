@@ -67,6 +67,16 @@ def _cascade(beta, q, th):
     return qd, ps[0] if k == 0 else np.concatenate(ps, axis=1), failed
 
 
+def _reported_ps(lanes, plan, x):
+    """The conjugates a solve reports for each row of a block of flat
+    vectors as ``_sce_step`` takes them: the closed form at alpha > 0,
+    None at zero load (no pattern layer) and where the cascade diverges."""
+    _, ps, failed = _cascade(lanes[:, 3], x[:, 1:], plan.thetas)
+    return [tuple(row) if alpha > 0.0 and i not in failed else None
+            for i, (alpha, row) in enumerate(zip(lanes[:, 1].tolist(),
+                                                 ps.tolist()))]
+
+
 def _one_cascade(params, ansatz):
     """``_cascade`` of one trial point at its lane's response coupling;
     raises on an inadmissible point or a divergence."""

@@ -387,14 +387,20 @@ def metropolis_run(params, n, sweeps, seed=0, p=None, boolean_patterns=False,
 def metropolis_state_trace(params, n, sweeps, seed=0, couplings=None):
     """Per-sweep configuration indices of a pairwise-coupling chain
     (small n only); used for occupancy checks against the exact
-    Boltzmann weights.  Given ``couplings`` must be an (n, n) array."""
+    Boltzmann weights.  Given ``couplings`` must be finite, symmetric,
+    (n, n) and zero on the diagonal: the chain samples no other."""
     if not 1 <= n <= 16:
         raise RangeViolation("state traces need n in [1, 16]")
     _check_params(SkParams, params)
     _at_least_one(sweeps=sweeps)
-    if couplings is not None and np.shape(couplings) != (n, n):
-        raise ShapeMismatch("couplings must have shape (%d, %d), got %r"
-                            % (n, n, np.shape(couplings)))
+    if couplings is not None:
+        j = np.asarray(couplings, dtype=float)
+        if j.shape != (n, n):
+            raise ShapeMismatch("couplings must have shape (%d, %d), got %r"
+                                % (n, n, j.shape))
+        if not (np.isfinite(j) & (j == j.T)).all() or j.diagonal().any():
+            raise RangeViolation("couplings must be finite and symmetric "
+                                 "with a zero diagonal")
     spins = np.empty((sweeps, n))
     _seeded_sk_chain(params, n, sweeps, seed, couplings, record=spins)
     return (spins > 0).astype(np.int64) @ (1 << np.arange(n))
@@ -499,9 +505,9 @@ _BLOCK_FLOATS = 2 ** 15
 # sample (axis 0), and every per-sample reduction keeps its order: a
 # row-wise sum is the sum of that row, and _vecmat / np.vecdot make the
 # same BLAS call per sample as a 1-D product.  The class declares its
-# substream ``key``, its ``targets``, the ``roots`` among them under a
-# square root, ``coords`` of a point (the keywords of ``value`` and
-# ``brackets``) and the ``width`` of its largest per-sample array in
+# substream ``key``, its ``targets``, the ``roots`` (the coordinates
+# under a square root), ``coords`` of a point (the keywords of ``value``
+# and ``brackets``) and the ``width`` of its largest per-sample array in
 # floats per state.
 
 class _SkRsSample:
@@ -570,7 +576,7 @@ class _Sk1rsbSample(_SkRsSample):
 
     key = 11
     targets = ("x1", "x2", "w")
-    roots = ("x1", "x2")
+    roots = ("t", "x1", "x2")
 
     @staticmethod
     def coords(point):
@@ -706,11 +712,12 @@ def interpolation_derivative_check(model, target, point, params, n,
 
     The difference is evaluated per disorder sample and aggregated, so
     the reported stderr reflects exactly the statistical content of the
-    identity being checked.  A target under a square root whose
-    difference stencil would leave the domain raises RangeViolation, and
-    so do an exponent outside (0, 1], a step that is not positive and
-    finite, fewer than one inner draw and a pairwise check given a
-    hidden-layer coordinate y or z or a pattern count p.
+    identity being checked.  A stencil that would leave the domain (a
+    coordinate that is not finite, or below zero under a square root)
+    raises RangeViolation, and so do an exponent outside (0, 1], a step
+    that is not positive and finite, fewer than one inner draw and a
+    pairwise check given a hidden-layer coordinate y or z or a pattern
+    count p.
     """
     _at_least_one(n=n, samples=samples, inner_samples=inner_samples)
     if not 0.0 < step < math.inf:
@@ -739,9 +746,12 @@ def interpolation_derivative_check(model, target, point, params, n,
     at = cls.coords(point)
     v0 = at[target]
     delta = step * max(1.0, abs(v0))
-    if target in cls.roots and v0 - delta < 0.0:
-        raise RangeViolation(
-            "cannot difference %s at %r: step leaves the domain" % (target, v0))
+    for name, v in at.items():
+        # the stencil reaches delta below the target
+        low = v - delta if name == target else v
+        if not math.isfinite(v) or name in cls.roots and low < 0.0:
+            raise RangeViolation("cannot difference %s at %s=%r: the stencil "
+                                 "leaves the domain" % (target, name, v))
     if model == "sk" and p is not None:
         raise RangeViolation("pairwise checks take no pattern count p")
     size = max(1, _BLOCK_FLOATS // (2 ** n * cls.width(n, *extra)))

@@ -62,6 +62,11 @@ def _pressure_block(lanes, plan, x):
     return field + overlap + bias, terms, failed
 
 
+def _reported_ps(lanes, plan, x):
+    """The pairwise model has no conjugate plateaus: None for every row."""
+    return [None] * len(x)
+
+
 def sk_pressure_rs(params, m, q, spec=None):
     """Flat-ansatz pressure at magnetization ``m`` and overlap ``q``."""
     return sk_pressure_krsb(params, RsbAnsatz(k=0, m=m, qs=(q,)), spec)
@@ -92,9 +97,9 @@ def sk_pressure_krsb(params, ansatz, spec=None):
 def sk_sce_krsb(params, ansatz, spec=None):
     """One application of the depth-k self-consistency map.
 
-    The exponents are passed through untouched.
+    The exponents are passed through untouched; ``ps`` is None.
     """
     a = validate_ansatz(ansatz)
     x = _one_lane(_sce_step, _lanes([params]), level_plan(a.thetas, spec),
                   np.array([(a.m,) + a.qs]))[0]
-    return replace(a, m=x[0, 0], qs=x[0, 1:])
+    return replace(a, m=x[0, 0], qs=x[0, 1:], ps=None)

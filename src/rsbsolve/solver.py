@@ -27,6 +27,7 @@ from .core import (
     RsbAnsatz,
     ShapeMismatch,
     SolveReport,
+    _integral,
 )
 from . import hopfield as _hop
 from . import sk as _sk
@@ -51,7 +52,7 @@ class SolverOptions:
     def __post_init__(self):
         object.__setattr__(self, "damping", float(self.damping))
         object.__setattr__(self, "tol", float(self.tol))
-        object.__setattr__(self, "max_iter", int(self.max_iter))
+        _integral(self, "max_iter")
         if not (0.0 < self.damping <= 1.0):
             raise RangeViolation("damping must lie in (0, 1], got %r" % self.damping)
         if not 0.0 < self.tol < math.inf:
@@ -319,10 +320,17 @@ def _gradient(values, x, base, step):
     return grad
 
 
-# the map and the pressure on blocks of flat vectors [m, q_1..q_{k+1}]
-# and the per-lane constants they read, keyed by model
-_BLOCKS = {"sk": (_sk._sce_step, _sk._pressure_block, _sk._lanes),
-           "hopfield": (_hop._sce_step, _hop._pressure_block, _hop._lanes)}
+_MODELS = {"sk": _sk, "hopfield": _hop}
+
+
+def _model(name):
+    """The module of model ``name``: its ``_sce_step``, ``_pressure_block``
+    and ``_reported_ps`` take blocks of flat vectors [m, q_1..q_{k+1}]
+    with the per-lane constants of its ``_lanes``."""
+    if name not in _MODELS:
+        raise RangeViolation("model must be 'sk' or 'hopfield', got %r"
+                             % name)
+    return _MODELS[name]
 
 
 def default_starts(model, params, k, thetas=()):
@@ -337,15 +345,15 @@ def default_starts(model, params, k, thetas=()):
     [floor, 1] and distinct at k >= 1.
     """
     return [RsbAnsatz(k=k, m=row[0], qs=row[1:], thetas=thetas)
-            for row in _start_rows(model, params, k)]
+            for row in _start_rows(_model(model), params, k)]
 
 
-def _start_rows(model, params, k):
-    """The flat vectors [m, q_1..q_{k+1}] of ``default_starts``; the
-    plateaus run evenly from a low to a high end, by ``np.linspace``'s
-    arithmetic in plain floats."""
+def _start_rows(mod, params, k):
+    """The flat vectors [m, q_1..q_{k+1}] of ``default_starts`` (``mod``:
+    the model); the plateaus run evenly from a low to a high end, by
+    ``np.linspace``'s arithmetic in plain floats."""
     floor = 0.0
-    if model == "hopfield" and params.beta > 0.5:
+    if mod is _hop and params.beta > 0.5:
         floor = 1.0 - 0.5 / params.beta
     cap = 0.97 if floor < 0.97 else 0.5 * (1.0 + floor)
     rows = []
@@ -385,6 +393,7 @@ def solve_grid(model, params_seq, k=0, thetas=(), spec=None, options=None,
     ``RangeViolation``, and a start of another depth or other exponents
     than the call's ``ShapeMismatch``.
     """
+    mod = _model(model)
     opts = _DEFAULT_OPTIONS if options is None else options
     thetas = tuple(float(t) for t in thetas)
     if starts is not None and len(starts) < 1:
@@ -403,22 +412,19 @@ def solve_grid(model, params_seq, k=0, thetas=(), spec=None, options=None,
         RsbAnsatz(k=k, m=0.0, qs=(0.0,) * (k + 1), thetas=thetas)
     lanes = []                      # (point, start index, flat start)
     for p, params in enumerate(points):
-        own = (_start_rows(model, params, k) if starts is None
+        own = (_start_rows(mod, params, k) if starts is None
                else [(start.m,) + start.qs for start in starts])
         lanes.extend((p, i, row) for i, row in enumerate(own))
-    if model not in _BLOCKS:
-        raise RangeViolation("model must be 'sk' or 'hopfield', got %r"
-                             % model)
-    step, _, constants = _BLOCKS[model]
     plan = level_plan(thetas, spec)
     size = max(1, plan.spec.max_tensor_points // plan.points)
     out = [[] for _ in points]
     for b in range(0, len(lanes), size):
         block = lanes[b:b + size]
         params = [points[p] for p, _, _ in block]
-        consts = constants(params)
+        consts = mod._lanes(params)
         x0 = np.array([row for _, _, row in block])
-        reps = _iterate(lambda c, x: step(c, plan, x), x0, opts, consts)
+        reps = _iterate(lambda c, x: mod._sce_step(c, plan, x), x0, opts,
+                        consts)
         reps = _finish(model, plan, consts, [index for _, index, _ in block],
                        reps)
         for (p, _, _), rep in zip(block, reps):
@@ -437,15 +443,15 @@ _STATIONARY = 1e-5
 
 
 def _finish(model, plan, consts, indices, reps):
-    """Pressure, stationarity and closed-form conjugates of a block of
-    iterated lanes, as ``solve_grid`` reports them; ``consts`` and
-    ``indices`` hold each lane's constants and start index.  Only
-    converged lanes get a pressure and a stationarity.  The reported
-    ``ps`` are the closed-form conjugates of the endpoint (pattern model
-    at alpha > 0, else None), never a start's.  The pressures and every stencil of ``_gradient`` are block
-    pressure calls, each row bit for bit the public pressure, so every
-    number is that of ``stationarity_check`` on the lane.  ``stationary``
-    flags a gradient within 1e-5.
+    """Pressure, stationarity and conjugates of a block of iterated
+    lanes, as ``solve_grid`` reports them; ``consts`` and ``indices``
+    hold each lane's constants and start index.  Only converged lanes
+    get a pressure and a stationarity.  The reported ``ps`` are the
+    model's ``_reported_ps`` of the endpoint, never a start's.  The
+    pressures and every stencil of ``_gradient`` are block pressure
+    calls, each row bit for bit the public pressure, so every number is
+    that of ``stationarity_check`` on the lane.  ``stationary`` flags a
+    gradient within 1e-5.
     """
     x = np.array([rep.ansatz for rep in reps])
     base = [i for i, rep in enumerate(reps) if rep.converged]
@@ -462,17 +468,12 @@ def _finish(model, plan, consts, indices, reps):
             return _pressures(model, plan, consts[conv][lane], rows, size)[0]
         grads[conv] = np.abs(_gradient(values, x[conv], pressure[conv].take,
                                        _STEP)).max(axis=1)
-    conj = {}
-    if model == "hopfield":
-        _, ps, failed = _hop._cascade(consts[:, 3], x[:, 1:], plan.thetas)
-        conj = {i: tuple(ps[i].tolist()) for i, alpha in
-                enumerate(consts[:, 1].tolist())
-                if alpha > 0.0 and i not in failed}
+    conj = _model(model)._reported_ps(consts, plan, x)
     out = []
     k, nodes, rows = len(plan.thetas), len(plan.nodes[0]), x.tolist()
     for i, (index, rep) in enumerate(zip(indices, reps)):
         ansatz = RsbAnsatz(k=k, m=rows[i][0], qs=rows[i][1:],
-                           thetas=plan.thetas, ps=conj.get(i))
+                           thetas=plan.thetas, ps=conj[i])
         error = errors.get(i, rep.error)
         p = pressure[i] if rep.converged and error is None else None
         stat = None if math.isnan(grads[i]) else float(grads[i])
@@ -497,8 +498,8 @@ def _pressures(model, plan, consts, rows, size):
     values = np.full(len(rows), np.nan)
     errors = {}
     for part in (ok[a:a + size] for a in range(0, len(ok), size)):
-        values[part], _, failed = _BLOCKS[model][1](consts[part], plan,
-                                                    rows[part])
+        values[part], _, failed = _model(model)._pressure_block(
+            consts[part], plan, rows[part])
         for r, exc in failed.items():
             if not isinstance(exc, DomainError):
                 raise exc
@@ -555,6 +556,7 @@ def extremize_theta(model, params, k, spec=None, options=None, thetas0=None,
         raise BracketViolation("need k >= 1 starting exponents in (%g, %g),"
                                " %g apart: %r" % (THETA_FLOOR, hi, sep,
                                                   thetas0))
+    consts = _model(model)._lanes([params])
     gap = math.sqrt((options or _DEFAULT_OPTIONS).tol)
     # floor <= theta_1, theta_a + sep <= theta_{a+1}, theta_k <= hi
     project = lambda th: np.clip(isotonic_nondecreasing(th - shift),
@@ -564,7 +566,6 @@ def extremize_theta(model, params, k, spec=None, options=None, thetas0=None,
         # dP*/dtheta is the stencil at fixed (m, q), since the pressure is
         # stationary in them (and in closed-form conjugates) at a solve
         x = np.array([(rep.ansatz.m,) + rep.ansatz.qs])
-        consts = _BLOCKS[model][2]([params])
         return _point_gradient(lambda th: _pressures(
             model, level_plan(th, spec), consts, x, 1)[0][0],
             np.array(rep.ansatz.thetas), _STEP)

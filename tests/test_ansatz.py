@@ -131,6 +131,26 @@ def test_quadrature_spec_validation():
     assert spec.nodes_per_level == 80
 
 
+@pytest.mark.parametrize("make,field,good,error", [
+    (lambda v: SolverOptions(max_iter=v), "max_iter", 2, RangeViolation),
+    (lambda v: QuadratureSpec(nodes_per_level=v), "nodes_per_level", 2,
+     RangeViolation),
+    (lambda v: QuadratureSpec(max_tensor_points=v), "max_tensor_points", 2,
+     RangeViolation),
+    (lambda v: RsbAnsatz(k=v, m=0.0, qs=(0.1, 0.2), thetas=(0.5,)), "k", 1,
+     ShapeMismatch),
+], ids=["max_iter", "nodes_per_level", "max_tensor_points", "k"])
+def test_integer_fields_refuse_non_integral_values(make, field, good, error):
+    # 2.5 used to be truncated to 2, and inf to raise a bare OverflowError
+    for value in (good + 0.5, good - 0.5, math.inf, math.nan):
+        with pytest.raises(error, match="%s must be an integer" % field):
+            make(value)
+    # integral floats and numpy integers are stored as ints
+    for value in (float(good), np.int64(good)):
+        got = getattr(make(value), field)
+        assert got == good and type(got) is int
+
+
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-3])
 def test_solver_options_tol_validation(tol):
     # tol=inf used to report every start converged after one iteration,

@@ -45,7 +45,7 @@ from rsbsolve import (
     solve_grid,
     stationarity_check,
 )
-from rsbsolve import hopfield, quadrature, sk, solver
+from rsbsolve import hopfield, quadrature, solver
 from rsbsolve.core import DomainError
 from test_solver import _GRID_CASES
 
@@ -268,12 +268,11 @@ def test_block_pressures_match_one_point_formulas(k):
            for b, al in zip(rng.uniform(0.0, 3.0, n),
                             rng.choice([0.0, 0.05, 0.2], n))]
     diverged = 0
-    for model, params, block, one, ref in (
-            ("sk", skp, sk._pressure_block, sk_pressure_krsb, _sk_pressure),
-            ("hopfield", hop, hopfield._pressure_block, hop_pressure_krsb,
-             _hop_pressure)):
-        constants = sk._lanes if model == "sk" else hopfield._lanes
-        got, terms, failed = block(constants(params), plan, x)
+    for model, params, one, ref in (
+            ("sk", skp, sk_pressure_krsb, _sk_pressure),
+            ("hopfield", hop, hop_pressure_krsb, _hop_pressure)):
+        mod = solver._model(model)
+        got, terms, failed = mod._pressure_block(mod._lanes(params), plan, x)
         for i, (p, a) in enumerate(zip(params, points)):
             try:
                 want, want_terms = ref(p, a, spec)
@@ -301,11 +300,11 @@ def test_block_steps_match_blocks_of_one(model):
     if model == "sk":
         params = [SkParams(beta=float(b), j0=0.3) for b in
                   rng.uniform(0.0, 3.0, 30)]
-        lanes, step = sk._lanes(params), sk._sce_step
     else:
         params = [HopfieldParams(beta=float(b), alpha=float(al)) for b, al in
                   zip(rng.uniform(0.0, 3.0, 30), rng.choice([0.0, 0.1], 30))]
-        lanes, step = hopfield._lanes(params), hopfield._sce_step
+    mod = solver._model(model)
+    lanes, step = mod._lanes(params), mod._sce_step
     out, failed = step(lanes, plan, x)
     for i in range(len(x)):
         one, bad = step(lanes[i:i + 1], plan, x[i:i + 1])
@@ -364,7 +363,7 @@ def test_finish_pass_matches_per_lane_checks(case):
 
 
 def _finish_one(model, params, a):
-    constants = sk._lanes if model == "sk" else hopfield._lanes
+    constants = solver._model(model)._lanes
     rep = SolveReport(ansatz=np.array((a.m,) + a.qs), residual=0.0,
                       iterations=1, converged=True)
     plan = quadrature.level_plan(a.thetas, SPEC24)
@@ -415,8 +414,8 @@ def test_boundary_stencils_take_the_fallbacks(model, label, a):
 
 def _block_gradient(model, params, a):
     """``solver._gradient`` of one point through the block pressure."""
-    block = sk._pressure_block if model == "sk" else hopfield._pressure_block
-    constants = (sk._lanes if model == "sk" else hopfield._lanes)([params])
+    mod = solver._model(model)
+    block, constants = mod._pressure_block, mod._lanes([params])
     plan = quadrature.level_plan(a.thetas, SPEC24)
     x = np.array([(a.m,) + a.qs])
     f0 = block(constants, plan, x)[0]

@@ -89,6 +89,20 @@ def test_library_errors_are_usage_errors(runner, args):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("model,flag", [("sk", "--alpha"),
+                                        ("hopfield", "--j0"),
+                                        ("hopfield", "--j")])
+@pytest.mark.parametrize("command", [[], ["--sweep", "beta=1:2:2"]],
+                         ids=["solve", "sweep"])
+def test_flag_of_another_model_is_usage_error(runner, model, flag, command):
+    res = runner.invoke(main, ["sweep" if command else "solve", "--model",
+                               model, "--beta", "1", flag, "0.1", *command])
+    assert res.exit_code == 1
+    assert "Error: %s does not apply to the %s model" % (flag, model) \
+        in res.output
+    assert res.stdout == ""
+
+
 def test_unknown_suite_is_usage_error(runner):
     res = runner.invoke(main, ["verify", "--suite", "bogus"])
     assert res.exit_code == 1

@@ -233,6 +233,32 @@ def test_square_root_target_at_domain_edge(target, edge, thetas):
                                        n=4, samples=1, thetas=thetas, p=3)
 
 
+_SK_EDGE = SkParams(beta=1.0, j0=0.8)
+
+
+@pytest.mark.parametrize("model,target,edge,thetas,match", [
+    ("sk", "t", dict(t=0.5, x=(-0.4,), w=0.3), (), "at x=-0.4"),
+    ("sk", "x", dict(t=-0.5, x=(0.4,), w=0.3), (), "at t=-0.5"),
+    ("hopfield", "t", dict(_HOP_EDGE, y=(-0.6,)), (), "at y=-0.6"),
+    ("sk", "x1", dict(t=0.5, x=(0.4, -0.25), w=0.3), (0.5,),
+     "at x2=-0.25"),
+    ("sk", "x1", dict(t=-0.5, x=(0.4, 0.25), w=0.3), (0.5,),
+     "at t=-0.5"),
+    ("sk", "w", dict(t=math.nan, x=(0.4,), w=0.3), (), "at t=nan"),
+    ("hopfield", "t", dict(_HOP_EDGE, w=math.inf), (), "at w=inf"),
+], ids=["sk-x", "sk-t", "hopfield-y", "1rsb-x2", "1rsb-t", "sk-nan",
+        "hopfield-inf"])
+def test_bad_coordinate_besides_the_target_is_typed(model, target, edge,
+                                                    thetas, match):
+    # a negative coordinate under a square root used to raise a bare
+    # "math domain error", and t=nan to return NaN in every field
+    params = _SK_EDGE if model == "sk" else HopfieldParams(beta=0.6, alpha=0.5)
+    with pytest.raises(RangeViolation, match=match):
+        interpolation_derivative_check(
+            model, target, InterpolationPoint(**edge), params, n=3, samples=2,
+            thetas=thetas, p=3 if model == "hopfield" else None)
+
+
 def test_substream_reproducible_and_disjoint():
     a = substream(7, 2, 5).random(4)
     b = substream(7, 2, 5).random(4)
@@ -360,6 +386,20 @@ def test_oracle_knobs_are_typed_errors(call):
     # each used to return NaN, a bare ValueError or an unusable histogram
     with pytest.raises(RangeViolation):
         call()
+
+
+@pytest.mark.parametrize("couplings", [
+    [[0.8, 0.3], [0.3, 0.8]], [[0.0, 0.9], [-0.3, 0.0]],
+    [[0.0, math.nan], [math.nan, 0.0]], [[0.0, math.inf], [math.inf, 0.0]],
+], ids=["diagonal", "asymmetric", "nan", "inf"])
+def test_state_trace_refuses_couplings_it_cannot_sample(couplings):
+    # the chain's flip cost assumes E = -sigma J sigma / 2 with a finite,
+    # symmetric, zero-diagonal J: these used to sample other weights
+    # (0.375/0.114/0.120/0.391 against Boltzmann 0.323/0.177/0.177/0.323
+    # for the first) or, with NaN, never accept a flip
+    with pytest.raises(RangeViolation, match="symmetric with a zero diagonal"):
+        metropolis_state_trace(SkParams(beta=1.0), 2, 10, seed=1,
+                               couplings=np.array(couplings))
 
 
 @pytest.mark.parametrize("shape", [(5, 5), (4,), (4, 5)])

@@ -104,6 +104,13 @@ def test_one_level_map_collapse(theta):
     assert nxt.qs[1] == pytest.approx(q1, abs=1e-10)
 
 
+def test_map_drops_given_conjugates():
+    # the pairwise model has no conjugate plateaus; the map used to pass
+    # a start's ps through
+    a = RsbAnsatz(k=0, m=0.5, qs=(0.3,), ps=(0.7,))
+    assert sk_sce_krsb(SkParams(beta=1.0), a).ps is None
+
+
 def test_map_image_is_admissible():
     params = SkParams(beta=1.6, j0=0.2, j=1.0)
     a = RsbAnsatz(k=2, m=0.3, qs=(0.2, 0.4, 0.7), thetas=(0.3, 0.6))
