@@ -420,8 +420,7 @@ def solve_grid(model, params_seq, k=0, thetas=(), spec=None, options=None,
     out = [[] for _ in points]
     for b in range(0, len(lanes), size):
         block = lanes[b:b + size]
-        params = [points[p] for p, _, _ in block]
-        consts = mod._lanes(params)
+        consts = mod._lanes([points[p] for p, _, _ in block])
         x0 = np.array([row for _, _, row in block])
         reps = _iterate(lambda c, x: mod._sce_step(c, plan, x), x0, opts,
                         consts)
