@@ -424,7 +424,7 @@ def solve_grid(model, params_seq, k=0, thetas=(), spec=None, options=None,
         x0 = np.array([row for _, _, row in block])
         reps = _iterate(lambda c, x: mod._sce_step(c, plan, x), x0, opts,
                         consts)
-        reps = _finish(model, plan, consts, [index for _, index, _ in block],
+        reps = _finish(mod, plan, consts, [index for _, index, _ in block],
                        reps)
         for (p, _, _), rep in zip(block, reps):
             out[p].append(rep)
@@ -441,22 +441,22 @@ _STEP = 1e-5
 _STATIONARY = 1e-5
 
 
-def _finish(model, plan, consts, indices, reps):
+def _finish(mod, plan, consts, indices, reps):
     """Pressure, stationarity and conjugates of a block of iterated
-    lanes, as ``solve_grid`` reports them; ``consts`` and ``indices``
-    hold each lane's constants and start index.  Only converged lanes
-    get a pressure and a stationarity.  The reported ``ps`` are the
-    model's ``_reported_ps`` of the endpoint, never a start's.  The
-    pressures and every stencil of ``_gradient`` are block pressure
-    calls, each row bit for bit the public pressure, so every number is
-    that of ``stationarity_check`` on the lane.  ``stationary`` flags a
-    gradient within 1e-5.
+    lanes of model ``mod``, as ``solve_grid`` reports them; ``consts``
+    and ``indices`` hold each lane's constants and start index.  Only
+    converged lanes get a pressure and a stationarity.  The reported
+    ``ps`` are the model's ``_reported_ps`` of the endpoint, never a
+    start's.  The pressures and every stencil of ``_gradient`` are block
+    pressure calls, each row bit for bit the public pressure, so every
+    number is that of ``stationarity_check`` on the lane; ``stationary``
+    flags a gradient within 1e-5.
     """
     x = np.array([rep.ansatz for rep in reps])
     base = [i for i, rep in enumerate(reps) if rep.converged]
     pressure = np.full(len(x), np.nan)
     size = len(x)
-    pressure[base], failed = _pressures(model, plan, consts[base], x[base],
+    pressure[base], failed = _pressures(mod, plan, consts[base], x[base],
                                         size)
     errors = {base[r]: "%s: %s" % (type(exc).__name__, exc)
               for r, exc in failed.items()}
@@ -464,10 +464,10 @@ def _finish(model, plan, consts, indices, reps):
     grads = np.full(len(x), np.nan)
     if conv:
         def values(lane, rows):
-            return _pressures(model, plan, consts[conv][lane], rows, size)[0]
+            return _pressures(mod, plan, consts[conv][lane], rows, size)[0]
         grads[conv] = np.abs(_gradient(values, x[conv], pressure[conv].take,
                                        _STEP)).max(axis=1)
-    conj = _model(model)._reported_ps(consts, plan, x)
+    conj = mod._reported_ps(consts, plan, x)
     out = []
     k, nodes, rows = len(plan.thetas), len(plan.nodes[0]), x.tolist()
     for i, (index, rep) in enumerate(zip(indices, reps)):
@@ -486,7 +486,7 @@ def _finish(model, plan, consts, indices, reps):
     return out
 
 
-def _pressures(model, plan, consts, rows, size):
+def _pressures(mod, plan, consts, rows, size):
     """Block pressures of flat points: NaN outside the admissible set
     and where the pressure raises a ``DomainError``, returned by row;
     any other failure is raised.  Each call takes at most ``size`` rows,
@@ -497,8 +497,8 @@ def _pressures(model, plan, consts, rows, size):
     values = np.full(len(rows), np.nan)
     errors = {}
     for part in (ok[a:a + size] for a in range(0, len(ok), size)):
-        values[part], _, failed = _model(model)._pressure_block(
-            consts[part], plan, rows[part])
+        values[part], _, failed = mod._pressure_block(consts[part], plan,
+                                                      rows[part])
         for r, exc in failed.items():
             if not isinstance(exc, DomainError):
                 raise exc
@@ -555,7 +555,8 @@ def extremize_theta(model, params, k, spec=None, options=None, thetas0=None,
         raise BracketViolation("need k >= 1 starting exponents in (%g, %g),"
                                " %g apart: %r" % (THETA_FLOOR, hi, sep,
                                                   thetas0))
-    consts = _model(model)._lanes([params])
+    mod = _model(model)
+    consts = mod._lanes([params])
     gap = math.sqrt((options or _DEFAULT_OPTIONS).tol)
     # floor <= theta_1, theta_a + sep <= theta_{a+1}, theta_k <= hi
     project = lambda th: np.clip(isotonic_nondecreasing(th - shift),
@@ -566,7 +567,7 @@ def extremize_theta(model, params, k, spec=None, options=None, thetas0=None,
         # stationary in them (and in closed-form conjugates) at a solve
         x = np.array([(rep.ansatz.m,) + rep.ansatz.qs])
         return _point_gradient(lambda th: _pressures(
-            model, level_plan(th, spec), consts, x, 1)[0][0],
+            mod, level_plan(th, spec), consts, x, 1)[0][0],
             np.array(rep.ansatz.thetas), _STEP)
 
     def solve(th, warm=None):

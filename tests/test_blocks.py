@@ -363,11 +363,11 @@ def test_finish_pass_matches_per_lane_checks(case):
 
 
 def _finish_one(model, params, a):
-    constants = solver._model(model)._lanes
+    mod = solver._model(model)
     rep = SolveReport(ansatz=np.array((a.m,) + a.qs), residual=0.0,
                       iterations=1, converged=True)
     plan = quadrature.level_plan(a.thetas, SPEC24)
-    return solver._finish(model, plan, constants([params]), [0], [rep])[0]
+    return solver._finish(mod, plan, mod._lanes([params]), [0], [rep])[0]
 
 
 _DELTA = 1e-5
